@@ -12,13 +12,23 @@ Exit codes: 0 success, 1 domain error (message on stderr), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Optional, Sequence
 
 from . import compare, dice, estimate, evidence, logistic, resolve
 
-MECHANIC_CHOICES = ("roll-under", "roll-over", "sum", "binomial", "pool", "step", "max")
+# --mechanic name to family; each family's fields are its flags.
+MECHANICS = {
+    "roll-under": dice.UniformRollUnder,
+    "roll-over": dice.UniformRollOver,
+    "sum": dice.SumRollOver,
+    "binomial": dice.BinomialPool,
+    "pool": dice.GeneralPool,
+    "step": dice.StepDie,
+    "max": dice.MaxPool,
+}
 
 
 def _fmt(x: float) -> str:
@@ -27,7 +37,7 @@ def _fmt(x: float) -> str:
 
 def _add_mechanic_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("mechanic flags")
-    group.add_argument("--mechanic", choices=MECHANIC_CHOICES, help="die mechanic family")
+    group.add_argument("--mechanic", choices=MECHANICS, help="die mechanic family")
     group.add_argument("--dice", type=int, default=1, help="number of dice (default 1)")
     group.add_argument("--sides", type=int, help="faces per die")
     group.add_argument("--target", type=int, help="roll-under target")
@@ -42,36 +52,22 @@ def _build_mechanic(args, parser: argparse.ArgumentParser) -> dice.Mechanic:
         parser.error("--mechanic is required")
     if args.sides is None:
         parser.error("--sides is required")
-    kind = args.mechanic
-    if kind == "roll-under":
-        if args.target is None:
-            parser.error("--target is required for roll-under")
-        return dice.UniformRollUnder(sides=args.sides, target=args.target)
-    if kind == "roll-over":
-        return dice.UniformRollOver(
-            sides=args.sides, modifier=args.modifier, difficulty=args.difficulty
-        )
-    if kind == "sum":
-        return dice.SumRollOver(
-            dice=args.dice, sides=args.sides, modifier=args.modifier,
-            difficulty=args.difficulty,
-        )
-    if kind == "binomial":
-        if args.threshold is None or args.required is None:
-            parser.error("--threshold and --required are required for binomial")
-        return dice.BinomialPool(
-            dice=args.dice, sides=args.sides, threshold=args.threshold,
-            required=args.required,
-        )
-    if kind == "pool":
-        return dice.GeneralPool(dice=args.dice, sides=args.sides, difficulty=args.difficulty)
-    if kind == "step":
-        return dice.StepDie(sides=args.sides, difficulty=args.difficulty)
-    return dice.MaxPool(dice=args.dice, sides=args.sides, difficulty=args.difficulty)
+    family = MECHANICS[args.mechanic]
+    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(family)}
+    missing = [f"--{name}" for name, value in values.items() if value is None]
+    if missing:
+        verb = "is" if len(missing) == 1 else "are"
+        parser.error(f"{' and '.join(missing)} {verb} required for {args.mechanic}")
+    return family(**values)
 
 
-def _parse_model(text: str) -> logistic.FourPL:
-    return logistic.FourPL.from_dict(json.loads(text))
+def _build_target(args, parser: argparse.ArgumentParser) -> logistic.FourPL | dice.Mechanic:
+    """The logistic model from --model, or the die mechanic from its flags."""
+    if (args.model is None) == (args.mechanic is None):
+        parser.error("give exactly one of --model or --mechanic")
+    if args.model is not None:
+        return logistic.FourPL.from_dict(json.loads(args.model))
+    return _build_mechanic(args, parser)
 
 
 def _cmd_dist(args, parser) -> None:
@@ -85,49 +81,46 @@ def _cmd_dist(args, parser) -> None:
 
 
 def _cmd_check(args, parser) -> None:
+    target = _build_target(args, parser)
     rng = resolve.SplitMix64(args.seed)
-    if (args.model is None) == (args.mechanic is None):
-        parser.error("give exactly one of --model or --mechanic")
-    if args.model is not None:
-        result = resolve.resolve_model(_parse_model(args.model), rng)
+    if isinstance(target, logistic.FourPL):
+        result = resolve.resolve_model(target, rng)
     else:
-        result = resolve.resolve_mechanic(_build_mechanic(args, parser), rng)
+        result = resolve.resolve_mechanic(target, rng)
     raw = "" if result.raw_roll is None else str(result.raw_roll)
     print("success,probability,raw_roll")
     print(f"{int(result.success)},{_fmt(result.probability_used)},{raw}")
 
 
+# Opposed pairing flag stem to A's chance of winning (expected score for ratings).
+_PAIRINGS = {
+    "skill": resolve.opposed,
+    "logit": resolve.opposed_logit,
+    "rating": resolve.elo_expected,
+}
+
+
 def _cmd_opposed(args, parser) -> None:
-    modes = [
-        args.skill_a is not None or args.skill_b is not None,
-        args.logit_a is not None or args.logit_b is not None,
-        args.rating_a is not None or args.rating_b is not None,
-    ]
-    if sum(modes) != 1:
+    pairs = {k: (getattr(args, f"{k}_a"), getattr(args, f"{k}_b")) for k in _PAIRINGS}
+    given = [k for k, pair in pairs.items() if pair != (None, None)]
+    if len(given) != 1:
         parser.error("give exactly one pairing: --skill-a/-b, --logit-a/-b or --rating-a/-b")
-    if modes[0]:
-        if args.skill_a is None or args.skill_b is None:
-            parser.error("both --skill-a and --skill-b are required")
+    kind = given[0]
+    a, b = pairs[kind]
+    if a is None or b is None:
+        parser.error(f"both --{kind}-a and --{kind}-b are required")
+    value = _PAIRINGS[kind](a, b)
+    if kind != "rating":
         print("probability")
-        print(_fmt(resolve.opposed(args.skill_a, args.skill_b)))
-    elif modes[1]:
-        if args.logit_a is None or args.logit_b is None:
-            parser.error("both --logit-a and --logit-b are required")
-        print("probability")
-        print(_fmt(resolve.opposed_logit(args.logit_a, args.logit_b)))
+        print(_fmt(value))
+    elif args.score is None:
+        print("expected_a")
+        print(_fmt(value))
     else:
-        if args.rating_a is None or args.rating_b is None:
-            parser.error("both --rating-a and --rating-b are required")
-        expected = resolve.elo_expected(args.rating_a, args.rating_b)
-        if args.score is None:
-            print("expected_a")
-            print(_fmt(expected))
-        else:
-            ra = resolve.Rating(args.rating_a, args.k)
-            rb = resolve.Rating(args.rating_b, args.k)
-            new_a, new_b = resolve.elo_update(ra, rb, args.score)
-            print("expected_a,new_rating_a,new_rating_b")
-            print(f"{_fmt(expected)},{_fmt(new_a.value)},{_fmt(new_b.value)}")
+        ra, rb = resolve.Rating(a, args.k), resolve.Rating(b, args.k)
+        new_a, new_b = resolve.elo_update(ra, rb, args.score)
+        print("expected_a,new_rating_a,new_rating_b")
+        print(f"{_fmt(value)},{_fmt(new_a.value)},{_fmt(new_b.value)}")
 
 
 def _cmd_grade(args, parser) -> None:
@@ -194,28 +187,23 @@ def _cmd_fit(args, parser) -> None:
 
 
 def _cmd_simulate(args, parser) -> None:
-    if (args.model is None) == (args.mechanic is None):
-        parser.error("give exactly one of --model or --mechanic")
+    target = _build_target(args, parser)
     rng = resolve.SplitMix64(args.seed)
-    if args.model is not None:
-        target = _parse_model(args.model)
-        exact = target.probability()
-    else:
-        target = _build_mechanic(args, parser)
-        exact = float(dice.success_probability(target))
+    if args.n < 0:
+        raise ValueError(f"trial count must be nonnegative, got {args.n}")
     if args.aggregate:
+        if isinstance(target, logistic.FourPL):
+            exact = target.probability()
+        else:
+            exact = float(dice.success_probability(target))
         successes = resolve.simulate_count(target, args.n, rng)
         rate = successes / args.n if args.n else 0.0
         print("n,successes,rate,exact_probability")
         print(f"{args.n},{successes},{_fmt(rate)},{_fmt(exact)}")
         return
     print("trial,success")
-    if isinstance(target, logistic.FourPL):
-        for i in range(1, args.n + 1):
-            print(f"{i},{int(resolve.resolve_model(target, rng).success)}")
-    else:
-        for i in range(1, args.n + 1):
-            print(f"{i},{int(resolve.resolve_mechanic(target, rng).success)}")
+    for i in range(1, args.n + 1):
+        print(f"{i},{resolve.simulate_count(target, 1, rng)}")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable, Union
 
-from .dice import DiscreteDist, convolve, die
+from .dice import DiscreteDist, SumRollOver
 from .logistic import logistic_cdf, normal_cdf, uniform_cdf
 
 __all__ = [
@@ -44,6 +43,9 @@ class LogisticParams:
     scale: float
 
     def __post_init__(self) -> None:
+        for name in ("mean", "scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.scale > 0.0:
             raise ValueError(f"scale must be positive, got {self.scale}")
 
@@ -111,6 +113,21 @@ def _jump_points(d: DiscreteDist, lo: float, hi: float) -> list[float]:
     return [p for p in pts if lo <= p <= hi]
 
 
+def _report(grid: tuple[float, ...], cdf_a: CdfLike, cdf_b: CdfLike) -> ComparisonReport:
+    """Evaluate both CDFs over ``grid``; the first largest gap wins."""
+    fa, fb = _as_cdf(cdf_a), _as_cdf(cdf_b)
+    va = tuple(fa(x) for x in grid)
+    vb = tuple(fb(x) for x in grid)
+    sup = 0.0
+    argmax = grid[0]
+    for x, a, b in zip(grid, va, vb):
+        gap = abs(a - b)
+        if gap > sup:
+            sup = gap
+            argmax = x
+    return ComparisonReport(grid=grid, cdf_a=va, cdf_b=vb, sup_distance=sup, argmax_point=argmax)
+
+
 def sup_distance(
     cdf_a: CdfLike,
     cdf_b: CdfLike,
@@ -137,17 +154,7 @@ def sup_distance(
     if not grid:
         raise ValueError("empty evaluation grid")
 
-    fa, fb = _as_cdf(cdf_a), _as_cdf(cdf_b)
-    va = tuple(fa(x) for x in grid)
-    vb = tuple(fb(x) for x in grid)
-    sup = 0.0
-    argmax = grid[0]
-    for x, a, b in zip(grid, va, vb):
-        gap = abs(a - b)
-        if gap > sup:
-            sup = gap
-            argmax = x
-    return ComparisonReport(grid=grid, cdf_a=va, cdf_b=vb, sup_distance=sup, argmax_point=argmax)
+    return _report(grid, cdf_a, cdf_b)
 
 
 def discrete_vs_logistic(d: DiscreteDist) -> ComparisonReport:
@@ -159,16 +166,7 @@ def discrete_vs_logistic(d: DiscreteDist) -> ComparisonReport:
     """
     lp = moment_match_logistic(d)
     grid = tuple(k + 0.5 for k in range(d.support[0] - 1, d.support[-1] + 1))
-    va = tuple(float(d.cdf(x)) for x in grid)
-    vb = tuple(lp.cdf(x) for x in grid)
-    sup = 0.0
-    argmax = grid[0]
-    for x, a, b in zip(grid, va, vb):
-        gap = abs(a - b)
-        if gap > sup:
-            sup = gap
-            argmax = x
-    return ComparisonReport(grid=grid, cdf_a=va, cdf_b=vb, sup_distance=sup, argmax_point=argmax)
+    return _report(grid, d, lp.cdf)
 
 
 def _default_grid(lp: LogisticParams) -> tuple[float, float, float]:
@@ -235,8 +233,7 @@ def _fig_grid_csv(name: str, other: Callable[[float], float]) -> str:
 
 
 def _fig5() -> str:
-    three_d6 = reduce(convolve, [die(6)] * 3)
-    report = discrete_vs_logistic(three_d6)
+    report = discrete_vs_logistic(SumRollOver(3, 6).outcome_distribution())
     lines = ["x,dice_cdf,logistic_cdf,abs_diff"]
     for x, a, b in zip(report.grid, report.cdf_a, report.cdf_b):
         lines.append(f"{_fmt(x)},{_fmt(a)},{_fmt(b)},{_fmt(abs(a - b))}")

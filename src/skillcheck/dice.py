@@ -15,13 +15,12 @@ property of these mechanics, not an error.
 
 from __future__ import annotations
 
-import abc
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import comb
-from typing import Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping
 
 __all__ = [
     "DiscreteDist",
@@ -132,46 +131,88 @@ def convolve(a: DiscreteDist, b: DiscreteDist) -> DiscreteDist:
     return DiscreteDist.from_mapping(acc)
 
 
-def _sum_of_dice(count: int, sides: int) -> DiscreteDist:
-    return reduce(convolve, [die(sides)] * count)
+def _count_distribution(m: "Mechanic") -> DiscreteDist:
+    p = Fraction(m.sides - m.threshold + 1, m.sides)
+    q = 1 - p
+    pmf = {k: comb(m.dice, k) * p**k * q ** (m.dice - k) for k in range(m.dice + 1)}
+    return DiscreteDist.from_mapping(pmf)
 
 
-def _check_die(sides: int, count: int) -> None:
-    if sides < 2:
-        raise ValueError(f"die must have at least 2 sides, got {sides}")
-    if count < 1:
-        raise ValueError(f"must roll at least 1 die, got {count}")
+def _max_distribution(m: "Mechanic") -> DiscreteDist:
+    # P(max = k) = (k^n - (k-1)^n) / d^n
+    n, d = m.dice, m.sides
+    total = d**n
+    pmf = {k: Fraction(k**n - (k - 1) ** n, total) for k in range(1, d + 1)}
+    return DiscreteDist.from_mapping(pmf)
 
 
-class Mechanic(abc.ABC):
+# Per reducer: the outcome of one attempt's faces, and its exact distribution.
+_REDUCERS = {
+    "face": (lambda m, faces: faces[0], lambda m: die(m.sides)),
+    "sum": (lambda m, faces: sum(faces), lambda m: reduce(convolve, [die(m.sides)] * m.dice)),
+    "count": (lambda m, faces: sum(1 for f in faces if f >= m.threshold), _count_distribution),
+    "max": (lambda m, faces: max(faces), _max_distribution),
+}
+
+
+def _at_most(m: "Mechanic", outcome: int) -> bool:
+    return outcome <= m._limit  # type: ignore[attr-defined]
+
+
+def _at_least(m: "Mechanic", outcome: int) -> bool:
+    return outcome >= m._limit  # type: ignore[attr-defined]
+
+
+class Mechanic:
     """One die mechanic plus its success rule.
 
     The outcome variable (single roll, sum, success count, or maximum) is
     separated from the success rule so the exact distribution, the success
     probability and live sampling all share one definition.
+
+    A family is a frozen dataclass with a ``sides`` field, a ``dice`` field
+    when it rolls more than one die, and two class-level facts from which
+    ``outcome_of(faces)`` and ``succeeds(outcome)`` are made:
+
+    * ``reducer``: how the faces of one attempt become the outcome: the
+      single ``"face"``, their ``"sum"``, the ``"count"`` of faces at or
+      above ``threshold``, or their ``"max"``;
+    * ``bound``: the name of the field the outcome is held against. A
+      ``"target"`` succeeds on ``outcome <= target``; a ``"required"`` count
+      or a ``"difficulty"`` on ``outcome >= bound - modifier``, where a
+      family without a ``modifier`` field has modifier 0.
     """
 
+    reducer: ClassVar[str]
+    bound: ClassVar[str]
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        # Chosen once per family, so that a roll pays for no dispatch.
+        cls.outcome_of, cls._distribution = _REDUCERS[cls.reducer]  # type: ignore[attr-defined]
+        cls.succeeds = _at_most if cls.bound == "target" else _at_least  # type: ignore
+
+    def __post_init__(self) -> None:
+        if self.die_sides < 2:
+            raise ValueError(f"die must have at least 2 sides, got {self.die_sides}")
+        if self.dice_count < 1:
+            raise ValueError(f"must roll at least 1 die, got {self.dice_count}")
+        limit = getattr(self, self.bound) - getattr(self, "modifier", 0)
+        object.__setattr__(self, "_limit", limit)
+
     @property
-    @abc.abstractmethod
     def dice_count(self) -> int:
         """Number of dice rolled per attempt."""
+        return getattr(self, "dice", 1)
 
     @property
-    @abc.abstractmethod
     def die_sides(self) -> int:
         """Face count of each die rolled."""
+        return self.sides  # type: ignore[attr-defined]
 
-    @abc.abstractmethod
-    def outcome_of(self, faces: Sequence[int]) -> int:
-        """Reduce one attempt's face rolls to the mechanic's outcome variable."""
-
-    @abc.abstractmethod
-    def succeeds(self, outcome: int) -> bool:
-        """Apply the success rule to an outcome value."""
-
-    @abc.abstractmethod
     def outcome_distribution(self) -> DiscreteDist:
         """Exact distribution of the outcome variable, before the success rule."""
+        return self._distribution()  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True)
@@ -181,25 +222,8 @@ class UniformRollUnder(Mechanic):
     sides: int
     target: int
 
-    def __post_init__(self) -> None:
-        _check_die(self.sides, 1)
-
-    @property
-    def dice_count(self) -> int:
-        return 1
-
-    @property
-    def die_sides(self) -> int:
-        return self.sides
-
-    def outcome_of(self, faces: Sequence[int]) -> int:
-        return faces[0]
-
-    def succeeds(self, outcome: int) -> bool:
-        return outcome <= self.target
-
-    def outcome_distribution(self) -> DiscreteDist:
-        return die(self.sides)
+    reducer = "face"
+    bound = "target"
 
 
 @dataclass(frozen=True)
@@ -210,25 +234,8 @@ class UniformRollOver(Mechanic):
     modifier: int = 0
     difficulty: int = 0
 
-    def __post_init__(self) -> None:
-        _check_die(self.sides, 1)
-
-    @property
-    def dice_count(self) -> int:
-        return 1
-
-    @property
-    def die_sides(self) -> int:
-        return self.sides
-
-    def outcome_of(self, faces: Sequence[int]) -> int:
-        return faces[0]
-
-    def succeeds(self, outcome: int) -> bool:
-        return outcome + self.modifier >= self.difficulty
-
-    def outcome_distribution(self) -> DiscreteDist:
-        return die(self.sides)
+    reducer = "face"
+    bound = "difficulty"
 
 
 @dataclass(frozen=True)
@@ -240,25 +247,8 @@ class SumRollOver(Mechanic):
     modifier: int = 0
     difficulty: int = 0
 
-    def __post_init__(self) -> None:
-        _check_die(self.sides, self.dice)
-
-    @property
-    def dice_count(self) -> int:
-        return self.dice
-
-    @property
-    def die_sides(self) -> int:
-        return self.sides
-
-    def outcome_of(self, faces: Sequence[int]) -> int:
-        return sum(faces)
-
-    def succeeds(self, outcome: int) -> bool:
-        return outcome + self.modifier >= self.difficulty
-
-    def outcome_distribution(self) -> DiscreteDist:
-        return _sum_of_dice(self.dice, self.sides)
+    reducer = "sum"
+    bound = "difficulty"
 
 
 @dataclass(frozen=True)
@@ -274,8 +264,11 @@ class BinomialPool(Mechanic):
     threshold: int
     required: int
 
+    reducer = "count"
+    bound = "required"
+
     def __post_init__(self) -> None:
-        _check_die(self.sides, self.dice)
+        super().__post_init__()
         if not 1 <= self.threshold <= self.sides:
             raise ValueError(
                 f"threshold must be within 1..{self.sides}, got {self.threshold}"
@@ -284,29 +277,6 @@ class BinomialPool(Mechanic):
             raise ValueError(
                 f"required successes must be within 0..{self.dice}, got {self.required}"
             )
-
-    @property
-    def dice_count(self) -> int:
-        return self.dice
-
-    @property
-    def die_sides(self) -> int:
-        return self.sides
-
-    def outcome_of(self, faces: Sequence[int]) -> int:
-        return sum(1 for f in faces if f >= self.threshold)
-
-    def succeeds(self, outcome: int) -> bool:
-        return outcome >= self.required
-
-    def outcome_distribution(self) -> DiscreteDist:
-        p = Fraction(self.sides - self.threshold + 1, self.sides)
-        q = 1 - p
-        pmf = {
-            k: comb(self.dice, k) * p**k * q ** (self.dice - k)
-            for k in range(self.dice + 1)
-        }
-        return DiscreteDist.from_mapping(pmf)
 
 
 @dataclass(frozen=True)
@@ -317,25 +287,8 @@ class GeneralPool(Mechanic):
     sides: int
     difficulty: int = 0
 
-    def __post_init__(self) -> None:
-        _check_die(self.sides, self.dice)
-
-    @property
-    def dice_count(self) -> int:
-        return self.dice
-
-    @property
-    def die_sides(self) -> int:
-        return self.sides
-
-    def outcome_of(self, faces: Sequence[int]) -> int:
-        return sum(faces)
-
-    def succeeds(self, outcome: int) -> bool:
-        return outcome >= self.difficulty
-
-    def outcome_distribution(self) -> DiscreteDist:
-        return _sum_of_dice(self.dice, self.sides)
+    reducer = "sum"
+    bound = "difficulty"
 
 
 @dataclass(frozen=True)
@@ -349,25 +302,8 @@ class StepDie(Mechanic):
     sides: int
     difficulty: int = 0
 
-    def __post_init__(self) -> None:
-        _check_die(self.sides, 1)
-
-    @property
-    def dice_count(self) -> int:
-        return 1
-
-    @property
-    def die_sides(self) -> int:
-        return self.sides
-
-    def outcome_of(self, faces: Sequence[int]) -> int:
-        return faces[0]
-
-    def succeeds(self, outcome: int) -> bool:
-        return outcome >= self.difficulty
-
-    def outcome_distribution(self) -> DiscreteDist:
-        return die(self.sides)
+    reducer = "face"
+    bound = "difficulty"
 
 
 @dataclass(frozen=True)
@@ -378,29 +314,8 @@ class MaxPool(Mechanic):
     sides: int
     difficulty: int = 0
 
-    def __post_init__(self) -> None:
-        _check_die(self.sides, self.dice)
-
-    @property
-    def dice_count(self) -> int:
-        return self.dice
-
-    @property
-    def die_sides(self) -> int:
-        return self.sides
-
-    def outcome_of(self, faces: Sequence[int]) -> int:
-        return max(faces)
-
-    def succeeds(self, outcome: int) -> bool:
-        return outcome >= self.difficulty
-
-    def outcome_distribution(self) -> DiscreteDist:
-        # P(max = k) = (k^n - (k-1)^n) / d^n
-        n, d = self.dice, self.sides
-        total = d**n
-        pmf = {k: Fraction(k**n - (k - 1) ** n, total) for k in range(1, d + 1)}
-        return DiscreteDist.from_mapping(pmf)
+    reducer = "max"
+    bound = "difficulty"
 
 
 def outcome_distribution(m: Mechanic) -> DiscreteDist:

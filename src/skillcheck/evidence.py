@@ -54,6 +54,14 @@ def _check_factor(value: float) -> None:
         raise ValueError(f"likelihood ratio must be positive, got {value}")
 
 
+def _exp(log_odds: float) -> Odds:
+    """Odds from log-odds; odds beyond the float range are infinite (certainty)."""
+    try:
+        return math.exp(log_odds)
+    except OverflowError:
+        return math.inf
+
+
 def update(prior: Odds, factors: Iterable[float]) -> Odds:
     """Revise prior odds by a batch of independent likelihood ratios.
 
@@ -69,8 +77,7 @@ def update(prior: Odds, factors: Iterable[float]) -> Odds:
         return prior
     if math.isinf(prior):
         return math.inf
-    log_odds = math.log(prior) + sum(math.log(f) for f in factors)
-    return math.exp(log_odds)
+    return _exp(math.log(prior) + sum(math.log(f) for f in factors))
 
 
 def update_reliable(prior: Odds, factor: float, reliability: float) -> Odds:
@@ -83,11 +90,13 @@ def update_reliable(prior: Odds, factor: float, reliability: float) -> Odds:
     if not prior >= 0.0:
         raise ValueError(f"prior odds must be nonnegative, got {prior}")
     _check_factor(factor)
+    if not math.isfinite(reliability):
+        raise ValueError(f"reliability must be finite, got {reliability}")
     if prior == 0.0 or math.isinf(prior):
         return prior
     if reliability == 0.0:
         return prior
-    return math.exp(math.log(prior) + reliability * math.log(factor))
+    return _exp(math.log(prior) + reliability * math.log(factor))
 
 
 def weight_of_evidence(factor: float) -> float:

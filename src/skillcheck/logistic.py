@@ -116,6 +116,9 @@ class FourPL:
     upper: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("ability", "difficulty", "slope"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.slope >= 0.0:
             raise ValueError(f"slope must be nonnegative, got {self.slope}")
         if not 0.0 <= self.lower <= self.upper <= 1.0:

@@ -8,6 +8,7 @@ own instance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -121,14 +122,17 @@ def simulate_count(target: Union[FourPL, Mechanic], n: int, rng: SplitMix64) -> 
 
 def opposed(a: float, b: float) -> Probability:
     """Chance that multiplicative skill ``a`` beats ``b``: a / (a + b)."""
-    if not a > 0.0 or not b > 0.0:
-        raise ValueError(f"opposed skills must be positive, got {a}, {b}")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):
+        raise ValueError(f"opposed skills must be positive and finite, got {a}, {b}")
     return a / (a + b)
 
 
 def opposed_logit(theta_a: float, theta_b: float) -> Probability:
     """Chance that logit skill ``theta_a`` beats ``theta_b``."""
-    return sigmoid(theta_a - theta_b)
+    gap = theta_a - theta_b
+    if math.isnan(gap):
+        raise ValueError(f"logit skills have no defined gap, got {theta_a}, {theta_b}")
+    return sigmoid(gap)
 
 
 @dataclass(frozen=True)
@@ -139,13 +143,24 @@ class Rating:
     k_factor: float = 32.0
 
     def __post_init__(self) -> None:
-        if not self.k_factor > 0.0:
-            raise ValueError(f"k_factor must be positive, got {self.k_factor}")
+        if not math.isfinite(self.value):
+            raise ValueError(f"rating must be finite, got {self.value}")
+        if not 0.0 < self.k_factor < math.inf:
+            raise ValueError(f"k_factor must be positive and finite, got {self.k_factor}")
 
 
 def elo_expected(rating_a: float, rating_b: float) -> float:
-    """Expected score of A against B: 1 / (1 + 10^(-(ra - rb) / 400))."""
-    return 1.0 / (1.0 + 10.0 ** (-(rating_a - rating_b) / 400.0))
+    """Expected score of A against B: 1 / (1 + 10^(-(ra - rb) / 400)).
+
+    A gap too wide for a float power gives the limit, 0.0.
+    """
+    gap = rating_a - rating_b
+    if math.isnan(gap):
+        raise ValueError(f"ratings have no defined gap, got {rating_a}, {rating_b}")
+    try:
+        return 1.0 / (1.0 + 10.0 ** (-gap / 400.0))
+    except OverflowError:
+        return 0.0
 
 
 def elo_update(ra: Rating, rb: Rating, score_a: float) -> tuple[Rating, Rating]:

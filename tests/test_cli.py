@@ -276,6 +276,70 @@ class TestSimulate:
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
 
+    @pytest.mark.parametrize(
+        "target",
+        [
+            ("--mechanic", "roll-under", "--sides", "20", "--target", "9"),
+            ("--mechanic", "roll-over", "--sides", "20", "--modifier", "2", "--difficulty", "13"),
+            ("--mechanic", "sum", "--dice", "3", "--sides", "6", "--difficulty", "11"),
+            ("--mechanic", "binomial", "--dice", "5", "--sides", "10",
+             "--threshold", "6", "--required", "3"),
+            ("--mechanic", "pool", "--dice", "4", "--sides", "4", "--difficulty", "10"),
+            ("--mechanic", "step", "--sides", "8", "--difficulty", "5"),
+            ("--mechanic", "max", "--dice", "3", "--sides", "10", "--difficulty", "8"),
+            ("--model", json.dumps({"ability": 0.3, "difficulty": 0.0, "lower": 0.2})),
+        ],
+        ids=lambda t: t[1] if t[0] == "--mechanic" else "model",
+    )
+    def test_trial_rows_match_aggregate(self, capsys, target):
+        args = ("simulate",) + target + ("--n", "300", "--seed", "23")
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        rows = out.strip().split("\n")[1:]
+        assert [row.split(",")[0] for row in rows] == [str(i) for i in range(1, 301)]
+        code, agg, _ = run_cli(capsys, *args, "--aggregate")
+        assert code == 0
+        successes = int(agg.strip().split("\n")[1].split(",")[1])
+        assert sum(row.endswith(",1") for row in rows) == successes
+
+    @pytest.mark.parametrize("mode", [(), ("--aggregate",)], ids=["per-trial", "aggregate"])
+    def test_negative_trials_rejected(self, capsys, mode):
+        code, out, err = run_cli(
+            capsys, "simulate", "--mechanic", "sum", "--dice", "3", "--sides", "6",
+            "--difficulty", "11", "--n", "-5", "--seed", "1", *mode,
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: trial count must be nonnegative, got -5\n"
+
+
+class TestDomainEdges:
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (("evidence", "--factor", "1e200", "--factor", "1e200"), "odds,probability\ninf,1\n"),
+            (("opposed", "--rating-a", "0", "--rating-b", "1000000"), "expected_a\n0\n"),
+            (("opposed", "--rating-a", "1000000", "--rating-b", "0"), "expected_a\n1\n"),
+        ],
+    )
+    def test_overflow_prints_the_limit(self, capsys, argv, expected):
+        assert run_cli(capsys, *argv)[:2] == (0, expected)
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("opposed", "--skill-a", "inf", "--skill-b", "inf"), "opposed skills must be"),
+            (("opposed", "--logit-a", "inf", "--logit-b", "inf"), "logit skills have no"),
+            (("check", "--model", '{"ability":NaN,"difficulty":0}', "--seed", "1"),
+             "ability must be finite, got nan"),
+            (("compare", "--pair", "normal", "--scale", "inf"), "scale must be finite, got inf"),
+        ],
+    )
+    def test_non_finite_input_is_a_one_line_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
+
 
 class TestTopLevel:
     def test_unknown_subcommand(self, capsys):

@@ -92,6 +92,15 @@ class TestVarianceMatchedFamilies:
         with pytest.raises(ValueError):
             LogisticParams(0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "mean,scale,field",
+        [(0.0, math.inf, "scale"), (0.0, math.nan, "scale"),
+         (math.nan, 1.0, "mean"), (-math.inf, 1.0, "mean")],
+    )
+    def test_parameters_must_be_finite(self, mean, scale, field):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            LogisticParams(mean, scale)
+
 
 class TestSupDistance:
     def test_identical_cdfs(self):

@@ -5,6 +5,7 @@ rule written out independently here, and tally exact rational masses. The
 library must match it fraction for fraction.
 """
 
+import dataclasses
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -17,6 +18,7 @@ from skillcheck.dice import (
     DiscreteDist,
     GeneralPool,
     MaxPool,
+    Mechanic,
     StepDie,
     SumRollOver,
     UniformRollOver,
@@ -302,3 +304,35 @@ def test_csv_dump_format():
         _, num, den, _ = row.split(",")
         total += Fraction(int(num), int(den))
     assert total == 1
+
+
+# Each family's fields in positional order, and one value for each.
+FAMILY_FIELDS = [
+    (UniformRollUnder, ("sides", "target"), (6, 4)),
+    (UniformRollOver, ("sides", "modifier", "difficulty"), (8, 2, 7)),
+    (SumRollOver, ("dice", "sides", "modifier", "difficulty"), (3, 6, 1, 11)),
+    (BinomialPool, ("dice", "sides", "threshold", "required"), (5, 10, 6, 3)),
+    (GeneralPool, ("dice", "sides", "difficulty"), (3, 6, 11)),
+    (StepDie, ("sides", "difficulty"), (8, 5)),
+    (MaxPool, ("dice", "sides", "difficulty"), (3, 10, 8)),
+]
+
+
+@pytest.mark.parametrize(
+    "cls,names,values", FAMILY_FIELDS, ids=[cls.__name__ for cls, _, _ in FAMILY_FIELDS]
+)
+def test_family_contract(cls, names, values):
+    m = cls(*values)
+    assert isinstance(m, Mechanic)
+    assert type(m) is cls
+    assert tuple(f.name for f in dataclasses.fields(m)) == names
+    assert tuple(getattr(m, n) for n in names) == values
+    assert m == cls(**dict(zip(names, values)))
+    assert hash(m) == hash(cls(*values))
+    assert m != cls(*values[:-1], values[-1] - 1)
+    fields_repr = ", ".join(f"{n}={v}" for n, v in zip(names, values))
+    assert repr(m) == f"{cls.__name__}({fields_repr})"
+    assert m.dice_count == (values[0] if names[0] == "dice" else 1)
+    assert m.die_sides == m.sides
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(m, names[-1], 0)

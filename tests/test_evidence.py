@@ -52,6 +52,10 @@ class TestUpdate:
     def test_certain_prior_stays_certain(self):
         assert update(math.inf, [0.001]) == math.inf
 
+    def test_overflow_gives_infinite_odds(self):
+        assert update(1.0, [1e200, 1e200]) == math.inf
+        assert update(1e-300, [1e-200, 1e-200]) == 0.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             update(-1.0, [2.0])
@@ -78,6 +82,14 @@ class TestUpdateReliable:
 
     def test_impossible_prior(self):
         assert update_reliable(0.0, 10.0, 0.5) == 0.0
+
+    def test_overflow_gives_infinite_odds(self):
+        assert update_reliable(1.0, 1e200, 3.0) == math.inf
+
+    @pytest.mark.parametrize("reliability", [math.nan, math.inf, -math.inf])
+    def test_non_finite_reliability_rejected(self, reliability):
+        with pytest.raises(ValueError, match="reliability must be finite"):
+            update_reliable(1.0, 1.0, reliability)
 
     def test_validation(self):
         with pytest.raises(ValueError):

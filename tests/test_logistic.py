@@ -195,6 +195,14 @@ class TestFourPL:
             FourPL.from_dict({"ability": 1.0})
 
 
+@pytest.mark.parametrize("field", ["ability", "difficulty", "slope"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_fourpl_rejects_non_finite(field, value):
+    params = {"ability": 0.0, "difficulty": 0.0, "slope": 1.0, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        FourPL(**params)
+
+
 class TestReferenceCdfs:
     def test_midpoints(self):
         assert logistic_cdf(2.0, mean=2.0, scale=3.0) == 0.5

@@ -184,6 +184,22 @@ class TestOpposed:
     def test_matches_sigmoid(self):
         assert opposed_logit(1.0, 0.25) == sigmoid(0.75)
 
+    @pytest.mark.parametrize("a,b", [(math.inf, math.inf), (math.inf, 1.0), (1.0, math.nan)])
+    def test_non_finite_skills_rejected(self, a, b):
+        with pytest.raises(ValueError):
+            opposed(a, b)
+
+    @pytest.mark.parametrize(
+        "a,b", [(math.inf, math.inf), (-math.inf, -math.inf), (math.nan, 0.0)]
+    )
+    def test_undefined_logit_gap_rejected(self, a, b):
+        with pytest.raises(ValueError):
+            opposed_logit(a, b)
+
+    def test_infinite_logit_against_finite_is_certain(self):
+        assert opposed_logit(math.inf, 3.0) == 1.0
+        assert opposed_logit(3.0, math.inf) == 0.0
+
 
 class TestElo:
     def test_equal_ratings_win_is_plus_sixteen(self):
@@ -198,6 +214,21 @@ class TestElo:
 
     def test_four_hundred_points_is_ten_to_one(self):
         assert elo_expected(1800.0, 1400.0) == pytest.approx(10 / 11, abs=1e-12)
+
+    def test_overflowing_gap_gives_the_limit(self):
+        assert elo_expected(0.0, 1e6) == 0.0
+        assert elo_expected(1e6, 0.0) == 1.0
+        a, b = elo_update(Rating(0.0), Rating(1e6), 1.0)
+        assert (a.value, b.value) == (32.0, 1e6 - 32.0)
+
+    def test_undefined_gap_rejected(self):
+        with pytest.raises(ValueError):
+            elo_expected(math.inf, math.inf)
+
+    @pytest.mark.parametrize("value,k", [(math.inf, 32.0), (math.nan, 32.0), (0.0, math.inf)])
+    def test_non_finite_rating_rejected(self, value, k):
+        with pytest.raises(ValueError, match="finite"):
+            Rating(value, k)
 
     def test_conservation_over_random_updates(self):
         rng = SplitMix64(4242)
