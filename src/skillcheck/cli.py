@@ -30,9 +30,7 @@ MECHANICS = {
     "max": dice.MaxPool,
 }
 
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
+_fmt = compare._fmt
 
 
 def _add_mechanic_flags(parser: argparse.ArgumentParser) -> None:
@@ -142,29 +140,23 @@ def _cmd_evidence(args, parser) -> None:
     print(f"{_fmt(odds)},{_fmt(logistic.odds_to_prob(odds))}")
 
 
-def _report_rows(report: compare.ComparisonReport, name_a: str, name_b: str, summary: bool) -> None:
-    if summary:
-        print("sup_distance,argmax")
-        print(f"{_fmt(report.sup_distance)},{_fmt(report.argmax_point)}")
-        return
-    print(f"x,{name_a},{name_b},abs_diff")
-    for x, a, b in zip(report.grid, report.cdf_a, report.cdf_b):
-        print(f"{_fmt(x)},{_fmt(a)},{_fmt(b)},{_fmt(abs(a - b))}")
+# Continuous --pair name to its comparison against the logistic.
+_CURVES = {"normal": compare.normal_vs_logistic, "uniform": compare.uniform_vs_logistic}
 
 
 def _cmd_compare(args, parser) -> None:
     if args.pair == "dice":
         mech = _build_mechanic(args, parser)
         report = compare.discrete_vs_logistic(dice.outcome_distribution(mech))
-        _report_rows(report, "dice_cdf", "logistic_cdf", args.summary)
-        return
-    lp = compare.LogisticParams(mean=args.mean, scale=args.scale)
-    if args.pair == "normal":
-        report = compare.normal_vs_logistic(lp)
-        _report_rows(report, "normal", "logistic", args.summary)
+        names = ("x", "dice_cdf", "logistic_cdf")
     else:
-        report = compare.uniform_vs_logistic(lp)
-        _report_rows(report, "uniform", "logistic", args.summary)
+        report = _CURVES[args.pair](compare.LogisticParams(mean=args.mean, scale=args.scale))
+        names = ("x", args.pair, "logistic")
+    if args.summary:
+        print("sup_distance,argmax")
+        print(f"{_fmt(report.sup_distance)},{_fmt(report.argmax_point)}")
+    else:
+        print(compare.report_csv(report, names), end="")
 
 
 def _cmd_figure(args, parser) -> None:

@@ -28,6 +28,7 @@ __all__ = [
     "discrete_vs_logistic",
     "normal_vs_logistic",
     "uniform_vs_logistic",
+    "report_csv",
     "figure_data",
     "FIGURE_IDS",
 ]
@@ -48,6 +49,8 @@ class LogisticParams:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.scale > 0.0:
             raise ValueError(f"scale must be positive, got {self.scale}")
+        if not 0.0 < self.scale * self.scale * math.pi**2 / 3.0 < math.inf:
+            raise ValueError(f"scale {self.scale} gives no positive finite variance")
 
     @property
     def variance(self) -> float:
@@ -174,7 +177,10 @@ def _default_grid(lp: LogisticParams) -> tuple[float, float, float]:
     # supremum, cheap enough for tests.
     sd = lp.sd
     lo, hi = lp.mean - 6.0 * sd, lp.mean + 6.0 * sd
-    return lo, hi, (hi - lo) / 1200.0
+    step = (hi - lo) / 1200.0
+    if not (lo < hi and 0.0 < step < math.inf):
+        raise ValueError(f"mean {lp.mean} and scale {lp.scale} give no finite grid to resolve")
+    return lo, hi, step
 
 
 def normal_vs_logistic(lp: LogisticParams) -> ComparisonReport:
@@ -205,6 +211,14 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def report_csv(report: ComparisonReport, names: tuple[str, str, str]) -> str:
+    """Render a report as CSV: ``names`` head grid, cdf_a and cdf_b; abs_diff ends each row."""
+    lines = [",".join(names) + ",abs_diff"]
+    for x, a, b in zip(report.grid, report.cdf_a, report.cdf_b):
+        lines.append(f"{_fmt(x)},{_fmt(a)},{_fmt(b)},{_fmt(abs(a - b))}")
+    return "\n".join(lines) + "\n"
+
+
 def _fig2() -> str:
     # Linear easy-vs-hard success mapping with the two guide polylines
     # marking each person's (easy %, hard %) operating point.
@@ -224,20 +238,9 @@ def _fig2() -> str:
 
 
 def _fig_grid_csv(name: str, other: Callable[[float], float]) -> str:
-    lines = [f"modifier,logistic,{name},abs_diff"]
-    for m in range(-100, 101):
-        lg = logistic_cdf(float(m), 0.0, _FIG_SCALE)
-        ot = other(float(m))
-        lines.append(f"{m},{_fmt(lg)},{_fmt(ot)},{_fmt(abs(lg - ot))}")
-    return "\n".join(lines) + "\n"
-
-
-def _fig5() -> str:
-    report = discrete_vs_logistic(SumRollOver(3, 6).outcome_distribution())
-    lines = ["x,dice_cdf,logistic_cdf,abs_diff"]
-    for x, a, b in zip(report.grid, report.cdf_a, report.cdf_b):
-        lines.append(f"{_fmt(x)},{_fmt(a)},{_fmt(b)},{_fmt(abs(a - b))}")
-    return "\n".join(lines) + "\n"
+    grid = tuple(float(m) for m in range(-100, 101))
+    report = _report(grid, lambda t: logistic_cdf(t, 0.0, _FIG_SCALE), other)
+    return report_csv(report, ("modifier", "logistic", name))
 
 
 def figure_data(which: str) -> str:
@@ -255,5 +258,6 @@ def figure_data(which: str) -> str:
     if which == "fig4":
         return _fig_grid_csv("normal", lambda t: normal_cdf(t, 0.0, _FIG_SD))
     if which == "fig5":
-        return _fig5()
+        report = discrete_vs_logistic(SumRollOver(3, 6).outcome_distribution())
+        return report_csv(report, ("x", "dice_cdf", "logistic_cdf"))
     raise ValueError(f"unknown figure id {which!r}; expected one of {FIGURE_IDS}")

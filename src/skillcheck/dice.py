@@ -138,6 +138,13 @@ def _count_distribution(m: "Mechanic") -> DiscreteDist:
     return DiscreteDist.from_mapping(pmf)
 
 
+def _sum_distribution(m: "Mechanic") -> DiscreteDist:
+    # Convolution cost grows as (dice * sides)^2: seconds at 10d100, minutes at 60d100.
+    if m.dice * m.sides > 1000:
+        raise ValueError(f"exact sums need --dice * --sides <= 1000, got {m.dice} * {m.sides}")
+    return reduce(convolve, [die(m.sides)] * m.dice)
+
+
 def _max_distribution(m: "Mechanic") -> DiscreteDist:
     # P(max = k) = (k^n - (k-1)^n) / d^n
     n, d = m.dice, m.sides
@@ -149,7 +156,7 @@ def _max_distribution(m: "Mechanic") -> DiscreteDist:
 # Per reducer: the outcome of one attempt's faces, and its exact distribution.
 _REDUCERS = {
     "face": (lambda m, faces: faces[0], lambda m: die(m.sides)),
-    "sum": (lambda m, faces: sum(faces), lambda m: reduce(convolve, [die(m.sides)] * m.dice)),
+    "sum": (lambda m, faces: sum(faces), _sum_distribution),
     "count": (lambda m, faces: sum(1 for f in faces if f >= m.threshold), _count_distribution),
     "max": (lambda m, faces: max(faces), _max_distribution),
 }
@@ -211,7 +218,10 @@ class Mechanic:
         return self.sides  # type: ignore[attr-defined]
 
     def outcome_distribution(self) -> DiscreteDist:
-        """Exact distribution of the outcome variable, before the success rule."""
+        """Exact distribution of the outcome variable, before the success rule.
+
+        A sum of more than 1000 (``dice * sides``) raises ``ValueError``.
+        """
         return self._distribution()  # type: ignore[attr-defined]
 
 

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import warnings
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Mapping, Sequence, Union
+from typing import IO, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -115,6 +114,91 @@ def _slope_for(task: str, slope: SlopeSpec) -> float:
     return value
 
 
+class _Kernel:
+    """The Rasch likelihood over records aggregated into sorted cells.
+
+    One cell per distinct (person, task) pair holds its successes ``y`` and
+    attempts ``n``. A parameter vector ``w`` lists ``persons``, then ``tasks``.
+    """
+
+    def __init__(
+        self,
+        records: Sequence[OutcomeRecord],
+        persons: Sequence[str],
+        tasks: Sequence[str],
+        slope: SlopeSpec,
+        ridge: float,
+    ) -> None:
+        p_index = {p: i for i, p in enumerate(persons)}
+        t_index = {t: i for i, t in enumerate(tasks)}
+        counts: dict[tuple[int, int], list[int]] = {}
+        for rec in records:
+            if rec.person not in p_index:
+                raise ValueError(f"missing ability parameter for person {rec.person!r}")
+            if rec.task not in t_index:
+                raise ValueError(f"missing difficulty parameter for task {rec.task!r}")
+            cell = counts.setdefault((p_index[rec.person], t_index[rec.task]), [0, 0])
+            cell[0] += 1 if rec.success else 0
+            cell[1] += 1
+        cells = sorted(counts)
+        self.cp, self.ct = np.array(cells, dtype=np.intp).reshape(-1, 2).T
+        self.y, self.n = np.array([counts[c] for c in cells], dtype=float).reshape(-1, 2).T
+        # One slope lookup per task with records; other tasks need none.
+        used, at = np.unique(self.ct, return_inverse=True)
+        self.r = np.array([_slope_for(tasks[j], slope) for j in used.tolist()])[at]
+        self.n_p, self.n_t, self.ridge = len(persons), len(tasks), ridge
+
+    def sums(self, v: np.ndarray) -> np.ndarray:
+        """Per-identifier totals of a per-cell quantity, summed in cell order."""
+        return np.r_[np.bincount(self.cp, v, self.n_p), np.bincount(self.ct, v, self.n_t)]
+
+    def _z(self, w: np.ndarray) -> np.ndarray:
+        return self.r * (w[self.cp] - w[self.n_p + self.ct])
+
+    def log_likelihood(self, w: np.ndarray) -> float:
+        """Unpenalized data log-likelihood."""
+        z = self._z(w)
+        # y*ln(p) + (n-y)*ln(1-p) via stable log(1 + e^(+/-z))
+        return -(self.y * np.logaddexp(0.0, -z) + (self.n - self.y) * np.logaddexp(0.0, z)).sum()
+
+    def objective(self, w: np.ndarray) -> float:
+        """Log-likelihood minus ridge/2 times the squared norm of ``w``."""
+        return self.log_likelihood(w) - 0.5 * self.ridge * float(w @ w)
+
+    def gradient(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient of ``objective``, and each cell's success chance."""
+        z = self._z(w)
+        ez = np.exp(-np.abs(z))
+        p = np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+        g = self.sums(self.r * (self.y - self.n * p))
+        g[self.n_p :] *= -1.0  # a success lowers its task's logit
+        return g - self.ridge * w, p
+
+    def hessian(self, p: np.ndarray) -> np.ndarray:
+        """Hessian of ``objective`` at the success chances ``p``."""
+        info = self.n * self.r * self.r * p * (1.0 - p)
+        h = np.zeros((self.n_p + self.n_t,) * 2)
+        # Cells are unique, so each cross entry is one cell's information.
+        h[self.cp, self.n_p + self.ct] = info
+        h[self.n_p + self.ct, self.cp] = info
+        np.fill_diagonal(h, -self.sums(info) - self.ridge)
+        return h
+
+
+def _kernel_at(
+    records: Sequence[OutcomeRecord],
+    abilities: Mapping[str, float],
+    difficulties: Mapping[str, float],
+    slope: SlopeSpec,
+    ridge: float,
+) -> tuple[_Kernel, np.ndarray]:
+    if ridge < 0.0:
+        raise ValueError(f"ridge must be nonnegative, got {ridge}")
+    persons, tasks = sorted(abilities), sorted(difficulties)
+    w = np.array([abilities[p] for p in persons] + [difficulties[t] for t in tasks], dtype=float)
+    return _Kernel(records, persons, tasks, slope, ridge), w
+
+
 def log_likelihood(
     records: Sequence[OutcomeRecord],
     abilities: Mapping[str, float],
@@ -127,26 +211,11 @@ def log_likelihood(
     Sum over records of y*ln(p) + (1-y)*ln(1-p) with
     p = sigmoid(slope * (ability - difficulty)), minus
     ridge/2 times the sum of squared parameters. Every record's person and
-    task must have a parameter.
+    task must have a parameter; a slope mapping must name every task that
+    has records.
     """
-    if ridge < 0.0:
-        raise ValueError(f"ridge must be nonnegative, got {ridge}")
-    total = 0.0
-    for rec in records:
-        if rec.person not in abilities:
-            raise ValueError(f"missing ability parameter for person {rec.person!r}")
-        if rec.task not in difficulties:
-            raise ValueError(f"missing difficulty parameter for task {rec.task!r}")
-        z = _slope_for(rec.task, slope) * (abilities[rec.person] - difficulties[rec.task])
-        # ln sigmoid(z) = -ln(1 + e^-z), computed without overflow
-        if rec.success:
-            total += -math.log1p(math.exp(-z)) if z >= 0 else z - math.log1p(math.exp(z))
-        else:
-            total += -z - math.log1p(math.exp(-z)) if z >= 0 else -math.log1p(math.exp(z))
-    if ridge > 0.0:
-        sq = sum(v * v for v in abilities.values()) + sum(v * v for v in difficulties.values())
-        total -= 0.5 * ridge * sq
-    return total
+    kernel, w = _kernel_at(records, abilities, difficulties, slope, ridge)
+    return float(kernel.objective(w))
 
 
 def gradient(
@@ -163,28 +232,11 @@ def gradient(
     component is its negative summed per task; the penalty contributes
     -ridge * parameter.
     """
-    if ridge < 0.0:
-        raise ValueError(f"ridge must be nonnegative, got {ridge}")
-    persons = sorted(abilities)
-    tasks = sorted(difficulties)
-    gp = {p: 0.0 for p in persons}
-    gt = {t: 0.0 for t in tasks}
-    for rec in records:
-        if rec.person not in abilities:
-            raise ValueError(f"missing ability parameter for person {rec.person!r}")
-        if rec.task not in difficulties:
-            raise ValueError(f"missing difficulty parameter for task {rec.task!r}")
-        r = _slope_for(rec.task, slope)
-        p = sigmoid(r * (abilities[rec.person] - difficulties[rec.task]))
-        resid = r * ((1.0 if rec.success else 0.0) - p)
-        gp[rec.person] += resid
-        gt[rec.task] -= resid
-    vec = [gp[p] - ridge * abilities[p] for p in persons]
-    vec.extend(gt[t] - ridge * difficulties[t] for t in tasks)
-    return np.array(vec)
+    kernel, w = _kernel_at(records, abilities, difficulties, slope, ridge)
+    return kernel.gradient(w)[0]
 
 
-def _connected(cells: Iterable[tuple[int, int]], n_persons: int, n_tasks: int) -> bool:
+def _connected(cp: np.ndarray, ct: np.ndarray, n_persons: int, n_tasks: int) -> bool:
     # Union-find over the bipartite person/task graph.
     parent = list(range(n_persons + n_tasks))
 
@@ -194,7 +246,7 @@ def _connected(cells: Iterable[tuple[int, int]], n_persons: int, n_tasks: int) -
             i = parent[i]
         return i
 
-    for pi, ti in cells:
+    for pi, ti in zip(cp.tolist(), ct.tolist()):
         a, b = find(pi), find(n_persons + ti)
         if a != b:
             parent[a] = b
@@ -232,64 +284,20 @@ def fit_rasch(
 
     persons = sorted({r.person for r in records})
     tasks = sorted({r.task for r in records})
-    p_index = {p: i for i, p in enumerate(persons)}
-    t_index = {t: i for i, t in enumerate(tasks)}
-    n_p, n_t = len(persons), len(tasks)
+    kernel = _Kernel(records, persons, tasks, slope, ridge)
+    n_p = len(persons)
 
-    counts: dict[tuple[int, int], list[int]] = {}
-    for rec in records:
-        key = (p_index[rec.person], t_index[rec.task])
-        cell = counts.setdefault(key, [0, 0])
-        cell[0] += 1 if rec.success else 0
-        cell[1] += 1
-    cells = sorted(counts)
-    cp = np.array([c[0] for c in cells])
-    ct = np.array([c[1] for c in cells])
-    y = np.array([float(counts[c][0]) for c in cells])
-    n = np.array([float(counts[c][1]) for c in cells])
-    r = np.array([_slope_for(tasks[c[1]], slope) for c in cells])
-
-    def objective(w: np.ndarray) -> float:
-        z = r * (w[cp] - w[n_p + ct])
-        # y*ln(p) + (n-y)*ln(1-p) via stable log(1 + e^(+/-z))
-        ll = -(y * np.logaddexp(0.0, -z) + (n - y) * np.logaddexp(0.0, z)).sum()
-        return ll - 0.5 * ridge * float(w @ w)
-
-    def grad(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        z = r * (w[cp] - w[n_p + ct])
-        p = np.empty_like(z)
-        pos = z >= 0
-        p[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        p[~pos] = ez / (1.0 + ez)
-        resid = r * (y - n * p)
-        g = np.zeros(n_p + n_t)
-        np.add.at(g, cp, resid)
-        np.add.at(g, n_p + ct, -resid)
-        return g - ridge * w, p
-
-    def hessian(w: np.ndarray, p: np.ndarray) -> np.ndarray:
-        info = n * r * r * p * (1.0 - p)
-        h = np.zeros((n_p + n_t, n_p + n_t))
-        np.add.at(h, (cp, cp), -info)
-        np.add.at(h, (n_p + ct, n_p + ct), -info)
-        np.add.at(h, (cp, n_p + ct), info)
-        np.add.at(h, (n_p + ct, cp), info)
-        h[np.diag_indices_from(h)] -= ridge
-        return h
-
-    w = np.zeros(n_p + n_t)
-    obj = objective(w)
+    w = np.zeros(n_p + len(tasks))
+    obj = kernel.objective(w)
     trace = [obj]
-    converged = False
     iterations = 0
-    for _ in range(max_iter):
-        g, p = grad(w)
-        if float(np.max(np.abs(g))) < tol:
-            converged = True
+    while True:
+        g, p = kernel.gradient(w)
+        converged = float(np.max(np.abs(g))) < tol
+        if converged or iterations >= max_iter:
             break
         try:
-            direction = np.linalg.solve(hessian(w, p), -g)
+            direction = np.linalg.solve(kernel.hessian(p), -g)
             if not np.all(np.isfinite(direction)):
                 raise np.linalg.LinAlgError
         except np.linalg.LinAlgError:
@@ -299,10 +307,9 @@ def fit_rasch(
         accepted = False
         while t > 1e-12:
             candidate = w + t * direction
-            cand_obj = objective(candidate)
+            cand_obj = kernel.objective(candidate)
             if cand_obj >= obj:
-                w = candidate
-                obj = cand_obj
+                w, obj = candidate, cand_obj
                 accepted = True
                 break
             t *= 0.5
@@ -310,26 +317,14 @@ def fit_rasch(
         trace.append(obj)
         if not accepted:
             break
-    else:
-        # Iteration cap reached; the last step may still have converged.
-        g, _ = grad(w)
-        converged = float(np.max(np.abs(g))) < tol
 
     # Gauge fix: difficulties sum to zero, offset absorbed into abilities.
     offset = float(np.mean(w[n_p:]))
     w = w - offset
 
-    abilities = {p: float(w[i]) for p, i in p_index.items()}
-    difficulties = {t: float(w[n_p + i]) for t, i in t_index.items()}
-
-    extreme = set()
-    for ident, axis in ((persons, cp), (tasks, ct)):
-        for j, name in enumerate(ident):
-            mask = axis == j
-            succ = float(y[mask].sum())
-            tot = float(n[mask].sum())
-            if succ == 0.0 or succ == tot:
-                extreme.add(name)
+    successes = kernel.sums(kernel.y)
+    all_or_none = (successes == 0.0) | (successes == kernel.sums(kernel.n))
+    extreme = frozenset(name for name, flag in zip(persons + tasks, all_or_none.tolist()) if flag)
     if extreme and ridge == 0.0:
         warnings.warn(
             "unpenalized fit with all-success or all-failure identifiers "
@@ -338,7 +333,7 @@ def fit_rasch(
             stacklevel=2,
         )
 
-    connected = _connected(cells, n_p, n_t)
+    connected = _connected(kernel.cp, kernel.ct, n_p, len(tasks))
     if not connected:
         warnings.warn(
             "person/task graph is disconnected; logits are only comparable "
@@ -347,15 +342,13 @@ def fit_rasch(
             stacklevel=2,
         )
 
-    z = r * (w[cp] - w[n_p + ct])
-    final_ll = float(-(y * np.logaddexp(0.0, -z) + (n - y) * np.logaddexp(0.0, z)).sum())
     return FitResult(
-        abilities=abilities,
-        difficulties=difficulties,
-        log_likelihood=final_ll,
+        abilities={p: float(w[i]) for i, p in enumerate(persons)},
+        difficulties={t: float(w[n_p + i]) for i, t in enumerate(tasks)},
+        log_likelihood=float(kernel.log_likelihood(w)),
         iterations=iterations,
         converged=converged,
-        extreme=frozenset(extreme),
+        extreme=extreme,
         connected=connected,
         objective_trace=tuple(trace),
     )

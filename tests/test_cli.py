@@ -182,6 +182,10 @@ class TestCompare:
             0.03243874556, abs=1e-9
         )
 
+    def test_dice_rows_are_fig5(self, capsys):
+        argv = ("compare", "--pair", "dice", "--mechanic", "sum", "--dice", "3", "--sides", "6")
+        assert run_cli(capsys, *argv) == run_cli(capsys, "figure", "fig5")
+
 
 class TestFigure:
     @pytest.mark.parametrize("which", ["fig2", "fig3", "fig4", "fig5"])
@@ -200,22 +204,66 @@ class TestFigure:
         assert code == 2
 
 
+def _twelve_by_six_log(tmp_path):
+    rng = SplitMix64(9)
+    lines = ["person,task,success"]
+    for i in range(12):
+        for j in range(6):
+            p = 1.0 if i % 3 else 0.3
+            lines.append(f"p{i},t{j},{int(rng.random() < p * 0.8)}")
+    path = tmp_path / "log.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+# ``fit`` stdout for the 12x6 log, byte for byte, as first released.
+FIT_GOLDEN = """{
+  "abilities": {
+    "p0": -1.64712303681,
+    "p1": 1.6509703624,
+    "p10": 4.92419154917,
+    "p11": 0.720486253451,
+    "p2": 0.720486253451,
+    "p3": -1.64712303681,
+    "p4": 1.6509703624,
+    "p5": 0.720486253451,
+    "p6": -1.64712303681,
+    "p7": 1.6509703624,
+    "p8": 1.6509703624,
+    "p9": -4.8573201279
+  },
+  "difficulties": {
+    "t0": -0.0856640844291,
+    "t1": 0.504082267088,
+    "t2": -0.0856640844291,
+    "t3": 0.504082267088,
+    "t4": -0.0856640844291,
+    "t5": -0.751172280889
+  },
+  "log_likelihood": -29.5960499738,
+  "converged": true,
+  "iterations": 7,
+  "extreme": [
+    "p10",
+    "p9"
+  ]
+}
+"""
+
+
 class TestFit:
     def test_end_to_end(self, capsys, tmp_path):
-        rng = SplitMix64(9)
-        lines = ["person,task,success"]
-        for i in range(12):
-            for j in range(6):
-                p = 1.0 if i % 3 else 0.3
-                lines.append(f"p{i},t{j},{int(rng.random() < p * 0.8)}")
-        path = tmp_path / "log.csv"
-        path.write_text("\n".join(lines) + "\n")
+        path = _twelve_by_six_log(tmp_path)
         code, out, _ = run_cli(capsys, "fit", "--input", str(path))
         assert code == 0
         payload = json.loads(out)
         assert payload["converged"] is True
         assert set(payload["abilities"]) == {f"p{i}" for i in range(12)}
         assert set(payload["difficulties"]) == {f"t{j}" for j in range(6)}
+
+    def test_golden_output(self, capsys, tmp_path):
+        path = _twelve_by_six_log(tmp_path)
+        assert run_cli(capsys, "fit", "--input", str(path)) == (0, FIT_GOLDEN, "")
 
     def test_malformed_row_reports_line(self, capsys, tmp_path):
         path = tmp_path / "bad.csv"
@@ -339,6 +387,41 @@ class TestDomainEdges:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {message}")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("compare", "--pair", "normal", "--scale", "1e200"), "scale 1e+200 gives no"),
+            (("compare", "--pair", "uniform", "--scale", "1e200"), "scale 1e+200 gives no"),
+            (("compare", "--pair", "normal", "--scale", "1e-200"), "scale 1e-200 gives no"),
+            (("compare", "--pair", "uniform", "--scale", "1e-320"), "scale 1e-320 gives no"),
+            (("compare", "--pair", "normal", "--mean", "1e300", "--scale", "1"),
+             "mean 1e+300 and scale 1.0 give no finite grid"),
+            (("compare", "--pair", "uniform", "--mean", "1e308", "--scale", "1e307", "--summary"),
+             "scale 1e+307 gives no"),
+            (("dist", "--mechanic", "sum", "--dice", "60", "--sides", "100", "--success"),
+             "exact sums need --dice * --sides <= 1000, got 60 * 100"),
+            (("dist", "--mechanic", "pool", "--dice", "2", "--sides", "501"),
+             "exact sums need --dice * --sides <= 1000, got 2 * 501"),
+            (("compare", "--pair", "dice", "--mechanic", "sum", "--dice", "11", "--sides", "100"),
+             "exact sums need"),
+            (("check", "--mechanic", "sum", "--dice", "60", "--sides", "100", "--seed", "1"),
+             "exact sums need"),
+        ],
+    )
+    def test_out_of_range_input_is_a_one_line_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
+
+    def test_exact_sum_cap_spares_sampling_and_closed_forms(self, capsys):
+        big = ("--dice", "60", "--sides", "100")
+        code, out, _ = run_cli(capsys, "simulate", "--mechanic", "sum", *big,
+                               "--difficulty", "3000", "--n", "3", "--seed", "1")
+        assert (code, out.count("\n")) == (0, 4)
+        code, out, _ = run_cli(capsys, "dist", "--mechanic", "max", *big, "--success")
+        assert code == 0 and out.startswith("num,den,float\n")
 
 
 class TestTopLevel:

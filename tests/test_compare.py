@@ -8,6 +8,7 @@ the logistic as the pool grows.
 """
 
 import math
+import re
 from fractions import Fraction
 from functools import reduce
 
@@ -100,6 +101,17 @@ class TestVarianceMatchedFamilies:
     def test_parameters_must_be_finite(self, mean, scale, field):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             LogisticParams(mean, scale)
+
+    @pytest.mark.parametrize("scale", [1e200, 1.4e154, 1e-200, 1e-320])
+    def test_variance_must_be_a_positive_finite_float(self, scale):
+        with pytest.raises(ValueError, match=re.escape(f"scale {scale} gives no positive finite")):
+            LogisticParams(0.0, scale)
+
+    @pytest.mark.parametrize("mean,scale", [(1e300, 1.0), (1e15, 1e-5), (-1.797e308, 1e153)])
+    def test_default_grid_must_resolve(self, mean, scale):
+        for pairing in (normal_vs_logistic, uniform_vs_logistic):
+            with pytest.raises(ValueError, match=re.escape(f"mean {mean} and scale {scale} give no")):
+                pairing(LogisticParams(mean, scale))
 
 
 class TestSupDistance:

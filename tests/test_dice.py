@@ -336,3 +336,12 @@ def test_family_contract(cls, names, values):
     assert m.die_sides == m.sides
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(m, names[-1], 0)
+
+
+def test_exact_sums_are_capped_but_closed_forms_are_not():
+    assert outcome_distribution(GeneralPool(1, 1000)).support[-1] == 1000
+    for m in (GeneralPool(1, 1001), SumRollOver(60, 100)):
+        with pytest.raises(ValueError, match=r"--dice \* --sides <= 1000"):
+            outcome_distribution(m)
+    assert len(outcome_distribution(MaxPool(60, 100)).support) == 100
+    assert len(outcome_distribution(BinomialPool(501, 2, 2, 0)).support) == 502

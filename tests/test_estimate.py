@@ -96,6 +96,19 @@ class TestLogLikelihood:
         with pytest.raises(ValueError):
             log_likelihood(records, {"a": 0.0}, {})
 
+    def test_slope_mapping_needs_only_tasks_with_records(self):
+        records = make_records([("a", "t1", True), ("a", "t2", False)])
+        slopes = {"t1": 1.0, "t2": 3.0}
+        theta, beta = {"a": 0.4}, {"t1": 0.1, "t2": -0.2, "idle": 0.5}
+        ll = log_likelihood(records, theta, beta, slope=slopes, ridge=0.1)
+        expected = math.log(sigmoid(0.3)) + math.log(1.0 - sigmoid(1.8))
+        assert ll == pytest.approx(expected - 0.05 * (0.16 + 0.01 + 0.04 + 0.25), abs=1e-12)
+        g = gradient(records, theta, beta, slope=slopes, ridge=0.1)
+        assert g[1] == -0.1 * 0.5  # "idle" has no records: only the penalty pulls it
+        for fn in (log_likelihood, gradient):
+            with pytest.raises(ValueError, match="no slope given for task 't2'"):
+                fn(records, theta, beta, slope={"t1": 1.0, "idle": 1.0})
+
 
 class TestGradient:
     def _instance(self, seed=101):
@@ -136,6 +149,21 @@ class TestGradient:
         g = gradient(records, result.abilities, result.difficulties, ridge=0.05)
         # the gauge shift moves the solution along the penalty gradient a bit
         assert float(np.max(np.abs(g))) < 0.05 * 0.5
+
+    def test_matches_per_record_oracle(self):
+        records, theta, beta = self._instance(seed=31)
+        slopes = {t: 0.5 + 0.25 * i for i, t in enumerate(sorted(beta))}
+        ridge = 0.2
+        oracle = {k: -ridge * v for k, v in list(theta.items()) + list(beta.items())}
+        for rec in records:
+            r = slopes[rec.task]
+            p = 1.0 / (1.0 + math.exp(-r * (theta[rec.person] - beta[rec.task])))
+            resid = r * ((1.0 if rec.success else 0.0) - p)
+            oracle[rec.person] += resid
+            oracle[rec.task] -= resid
+        g = gradient(records, theta, beta, slope=slopes, ridge=ridge)
+        expected = [oracle[k] for k in sorted(theta)] + [oracle[k] for k in sorted(beta)]
+        assert g == pytest.approx(expected, abs=1e-12)
 
     def test_ridge_shifts_gradient_exactly(self):
         records, theta, beta = self._instance(seed=55)
@@ -225,6 +253,15 @@ class TestFit:
             records, result.abilities, result.difficulties, ridge=0.0
         )
         assert result.log_likelihood == pytest.approx(direct, abs=1e-9)
+
+    @pytest.mark.parametrize("slope", [1.0, 1.7, {f"t{j:03d}": 0.5 + 0.3 * j for j in range(4)}])
+    def test_reported_likelihood_is_the_public_one_exactly(self, slope):
+        records, _, _ = synthetic(6, 4, seed=11)
+        result = fit_rasch(records, slope=slope, ridge=0.05)
+        direct = log_likelihood(
+            records, result.abilities, result.difficulties, slope, ridge=0.0
+        )
+        assert result.log_likelihood == direct
 
     def test_small_recovery(self):
         records, theta, beta = synthetic(50, 20, seed=2025)
