@@ -164,12 +164,9 @@ def _cmd_figure(args, parser) -> None:
 
 
 def _cmd_fit(args, parser) -> None:
-    if args.input == "-":
-        records = estimate.read_outcome_csv(sys.stdin)
-    else:
-        records = estimate.read_outcome_csv(args.input)
-    result = estimate.fit_rasch(
-        records,
+    columns = estimate._read_columns(sys.stdin if args.input == "-" else args.input)
+    result = estimate._fit(
+        columns,
         slope=args.slope,
         ridge=args.ridge,
         max_iter=args.max_iter,

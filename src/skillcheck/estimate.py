@@ -4,8 +4,8 @@ The response model is P(success) = sigmoid(slope * (ability - difficulty)).
 Fitting is joint penalized maximum likelihood: a small ridge penalty on
 every logit keeps the problem strictly concave and well posed even for
 people or tasks with all-success or all-failure records. The optimizer is
-damped Newton with step-halving, falling back to gradient ascent if the
-Hessian solve fails.
+damped Newton with step-halving, solving each step by Schur complement
+and falling back to gradient ascent if that solve fails.
 
 Logits are only identified up to a common shift, so fitted difficulties
 are re-centered to mean zero and the offset is absorbed into abilities.
@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 SlopeSpec = Union[float, Mapping[str, float]]
+_Columns = tuple[Sequence[str], Sequence[str], Sequence[bool]]  # person, task, success
 
 
 @dataclass(frozen=True)
@@ -114,6 +115,12 @@ def _slope_for(task: str, slope: SlopeSpec) -> float:
     return value
 
 
+def _columns(records: Sequence[OutcomeRecord]) -> _Columns:
+    """The person, task and success columns of records; success by truth value."""
+    person, task = [r.person for r in records], [r.task for r in records]
+    return person, task, [bool(r.success) for r in records]
+
+
 class _Kernel:
     """The Rasch likelihood over records aggregated into sorted cells.
 
@@ -123,30 +130,32 @@ class _Kernel:
 
     def __init__(
         self,
-        records: Sequence[OutcomeRecord],
+        columns: _Columns,
         persons: Sequence[str],
         tasks: Sequence[str],
         slope: SlopeSpec,
         ridge: float,
     ) -> None:
+        person, task, success = columns
         p_index = {p: i for i, p in enumerate(persons)}
         t_index = {t: i for i, t in enumerate(tasks)}
-        counts: dict[tuple[int, int], list[int]] = {}
-        for rec in records:
-            if rec.person not in p_index:
-                raise ValueError(f"missing ability parameter for person {rec.person!r}")
-            if rec.task not in t_index:
-                raise ValueError(f"missing difficulty parameter for task {rec.task!r}")
-            cell = counts.setdefault((p_index[rec.person], t_index[rec.task]), [0, 0])
-            cell[0] += 1 if rec.success else 0
-            cell[1] += 1
-        cells = sorted(counts)
-        self.cp, self.ct = np.array(cells, dtype=np.intp).reshape(-1, 2).T
-        self.y, self.n = np.array([counts[c] for c in cells], dtype=float).reshape(-1, 2).T
+        # Ids map through dicts: np.unique on strings would strip trailing NULs.
+        try:
+            pi = np.fromiter(map(p_index.__getitem__, person), np.intp, len(person))
+            ti = np.fromiter(map(t_index.__getitem__, task), np.intp, len(task))
+        except KeyError:
+            p, t = next(r for r in zip(person, task) if r[0] not in p_index or r[1] not in t_index)
+            if p not in p_index:
+                raise ValueError(f"missing ability parameter for person {p!r}") from None
+            raise ValueError(f"missing difficulty parameter for task {t!r}") from None
+        self.n_p, self.n_t, self.ridge = len(persons), len(tasks), ridge
+        cells, at = np.unique(pi * self.n_t + ti, return_inverse=True)
+        self.cp, self.ct = np.divmod(cells, self.n_t)
+        self.y = np.bincount(at, np.fromiter(success, float, len(success)), len(cells))
+        self.n = np.bincount(at, minlength=len(cells)).astype(float)
         # One slope lookup per task with records; other tasks need none.
         used, at = np.unique(self.ct, return_inverse=True)
         self.r = np.array([_slope_for(tasks[j], slope) for j in used.tolist()])[at]
-        self.n_p, self.n_t, self.ridge = len(persons), len(tasks), ridge
 
     def sums(self, v: np.ndarray) -> np.ndarray:
         """Per-identifier totals of a per-cell quantity, summed in cell order."""
@@ -174,15 +183,31 @@ class _Kernel:
         g[self.n_p :] *= -1.0  # a success lowers its task's logit
         return g - self.ridge * w, p
 
-    def hessian(self, p: np.ndarray) -> np.ndarray:
-        """Hessian of ``objective`` at the success chances ``p``."""
+    def newton(self, g: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Newton direction -H^-1 g of ``objective`` at the success chances ``p``.
+
+        H has diagonal person and task blocks and a cross block C of cell
+        information. Eliminating the larger diagonal block D leaves the Schur
+        complement S = D_small - C^T D^-1 C on the other side, one small
+        solve. Raises ``LinAlgError`` when S is singular.
+        """
         info = self.n * self.r * self.r * p * (1.0 - p)
-        h = np.zeros((self.n_p + self.n_t,) * 2)
-        # Cells are unique, so each cross entry is one cell's information.
-        h[self.cp, self.n_p + self.ct] = info
-        h[self.n_p + self.ct, self.cp] = info
-        np.fill_diagonal(h, -self.sums(info) - self.ridge)
-        return h
+        d = -self.sums(info) - self.ridge
+        # Larger side first: rotating by n_t puts the tasks first.
+        shift = self.n_t if self.n_p < self.n_t else 0
+        big, small = (self.ct, self.cp) if shift else (self.cp, self.ct)
+        g, d, k = np.roll(g, shift), np.roll(d, shift), shift or self.n_p
+        c = np.zeros((k, len(d) - k))
+        c[big, small] = info  # cells are unique
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # D < 0, so C^T D^-1 C = -X^T X for X = C / sqrt(-D): a symmetric product.
+            root = np.sqrt(-d[:k])
+            x = c / root[:, None]
+            s = x.T @ x
+            s.flat[:: len(d) - k + 1] += d[k:]
+            x_small = np.linalg.solve(s, -g[k:] - x.T @ (g[:k] / root))
+            x_big = (-g[:k] - c @ x_small) / d[:k]
+        return np.roll(np.r_[x_big, x_small], -shift)
 
 
 def _kernel_at(
@@ -196,7 +221,7 @@ def _kernel_at(
         raise ValueError(f"ridge must be nonnegative, got {ridge}")
     persons, tasks = sorted(abilities), sorted(difficulties)
     w = np.array([abilities[p] for p in persons] + [difficulties[t] for t in tasks], dtype=float)
-    return _Kernel(records, persons, tasks, slope, ridge), w
+    return _Kernel(_columns(records), persons, tasks, slope, ridge), w
 
 
 def log_likelihood(
@@ -273,7 +298,12 @@ def fit_rasch(
     diverge; such data is flagged in ``extreme`` and, when unpenalized,
     also warned about.
     """
-    if not records:
+    return _fit(_columns(records), slope=slope, ridge=ridge, max_iter=max_iter, tol=tol)
+
+
+def _fit(columns: _Columns, *, slope: SlopeSpec, ridge: float, max_iter: int, tol: float) -> FitResult:
+    """``fit_rasch`` on person, task and success columns."""
+    if not columns[0]:
         raise ValueError("need at least one outcome record")
     if ridge < 0.0:
         raise ValueError(f"ridge must be nonnegative, got {ridge}")
@@ -282,9 +312,8 @@ def fit_rasch(
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
 
-    persons = sorted({r.person for r in records})
-    tasks = sorted({r.task for r in records})
-    kernel = _Kernel(records, persons, tasks, slope, ridge)
+    persons, tasks = sorted(set(columns[0])), sorted(set(columns[1]))
+    kernel = _Kernel(columns, persons, tasks, slope, ridge)
     n_p = len(persons)
 
     w = np.zeros(n_p + len(tasks))
@@ -293,22 +322,28 @@ def fit_rasch(
     iterations = 0
     while True:
         g, p = kernel.gradient(w)
-        converged = float(np.max(np.abs(g))) < tol
+        g_max = float(np.max(np.abs(g)))
+        converged = g_max < tol
         if converged or iterations >= max_iter:
             break
         try:
-            direction = np.linalg.solve(kernel.hessian(p), -g)
+            direction = kernel.newton(g, p)
             if not np.all(np.isfinite(direction)):
                 raise np.linalg.LinAlgError
         except np.linalg.LinAlgError:
             direction = g
-        # Step-halving line search; accepted steps never decrease the objective.
+        # Step-halving line search. A step may lower the objective only by a
+        # few ulps, and then only if it lowers the gradient max-norm: near the
+        # optimum a full step's gain is below the objective's rounding.
         t = 1.0
         accepted = False
         while t > 1e-12:
             candidate = w + t * direction
             cand_obj = kernel.objective(candidate)
-            if cand_obj >= obj:
+            if cand_obj >= obj or (
+                obj - cand_obj <= 8 * np.spacing(abs(obj))
+                and float(np.max(np.abs(kernel.gradient(candidate)[0]))) < g_max
+            ):
                 w, obj = candidate, cand_obj
                 accepted = True
                 break
@@ -330,7 +365,7 @@ def fit_rasch(
             "unpenalized fit with all-success or all-failure identifiers "
             f"diverges: {sorted(extreme)}",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,  # the caller of fit_rasch
         )
 
     connected = _connected(kernel.cp, kernel.ct, n_p, len(tasks))
@@ -339,12 +374,12 @@ def fit_rasch(
             "person/task graph is disconnected; logits are only comparable "
             "within a component",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
 
     return FitResult(
-        abilities={p: float(w[i]) for i, p in enumerate(persons)},
-        difficulties={t: float(w[n_p + i]) for i, t in enumerate(tasks)},
+        abilities=dict(zip(persons, w[:n_p].tolist())),
+        difficulties=dict(zip(tasks, w[n_p:].tolist())),
         log_likelihood=float(kernel.log_likelihood(w)),
         iterations=iterations,
         converged=converged,
@@ -426,9 +461,14 @@ def read_outcome_csv(source: Union[str, IO[str]]) -> list[OutcomeRecord]:
     ``success`` must be 0 or 1. Malformed rows are reported with their line
     number.
     """
+    return [OutcomeRecord(*row) for row in zip(*_read_columns(source))]
+
+
+def _read_columns(source: Union[str, IO[str]]) -> _Columns:
+    """``read_outcome_csv`` as person, task and success columns."""
     if isinstance(source, str):
         with open(source, newline="", encoding="utf-8") as fh:
-            return read_outcome_csv(fh)
+            return _read_columns(fh)
     reader = csv.reader(source)
     try:
         header = next(reader)
@@ -438,17 +478,20 @@ def read_outcome_csv(source: Union[str, IO[str]]) -> list[OutcomeRecord]:
         raise ValueError(
             f"line 1: expected header person,task,success, got {','.join(header)}"
         )
-    records = []
+    persons, tasks, successes = [], [], []
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != 3:
             raise ValueError(f"line {lineno}: expected 3 fields, got {len(row)}")
-        person, task, raw = (f.strip() for f in row)
+        person, task, raw = row[0].strip(), row[1].strip(), row[2].strip()
         if raw not in ("0", "1"):
             raise ValueError(f"line {lineno}: success must be 0 or 1, got {raw!r}")
-        try:
-            records.append(OutcomeRecord(person=person, task=task, success=raw == "1"))
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-    return records
+        if not person:
+            raise ValueError(f"line {lineno}: person identifier must be non-empty")
+        if not task:
+            raise ValueError(f"line {lineno}: task identifier must be non-empty")
+        persons.append(person)
+        tasks.append(task)
+        successes.append(raw == "1")
+    return persons, tasks, successes

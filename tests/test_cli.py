@@ -1,5 +1,6 @@
 """End-to-end subcommand behavior: output formats, determinism, exit codes."""
 
+import io
 import json
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ import pytest
 from skillcheck import cli
 from skillcheck.compare import figure_data
 from skillcheck.dice import SumRollOver, success_probability
+from skillcheck.estimate import fit_rasch, read_outcome_csv
 from skillcheck.resolve import SplitMix64, simulate_count
 
 
@@ -271,6 +273,34 @@ class TestFit:
         code, _, err = run_cli(capsys, "fit", "--input", str(path))
         assert code == 1
         assert "line 3" in err
+
+    def test_stdin_matches_path(self, capsys, tmp_path, monkeypatch):
+        path = _twelve_by_six_log(tmp_path)
+        monkeypatch.setattr("sys.stdin", io.StringIO(path.read_text()))
+        assert run_cli(capsys, "fit", "--input", "-") == (0, FIT_GOLDEN, "")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "who,what,result\na,t,1\n",
+            "",
+            "person,task,success\na,t,1\nb,t\n",
+            "person,task,success\na,t,1\nb,t,maybe\n",
+            "person,task,success\n,t,1\n",
+            "person,task,success\na,,1\n",
+            "person,task,success\n",
+        ],
+        ids=["header", "empty", "two_fields", "maybe", "no_person", "no_task", "no_records"],
+    )
+    def test_input_errors_match_the_library(self, capsys, tmp_path, monkeypatch, text):
+        with pytest.raises(ValueError) as exc:
+            fit_rasch(read_outcome_csv(io.StringIO(text)))
+        expected = (1, "", f"error: {exc.value}\n")
+        path = tmp_path / "log.csv"
+        path.write_text(text)
+        assert run_cli(capsys, "fit", "--input", str(path)) == expected
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert run_cli(capsys, "fit", "--input", "-") == expected
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "fit", "--input", "/nonexistent/x.csv")

@@ -12,10 +12,14 @@ import math
 import numpy as np
 import pytest
 
+from pathlib import Path
+
 from skillcheck.estimate import (
     FitResult,
     OutcomeRecord,
     RaschEstimator,
+    _columns,
+    _Kernel,
     fit_rasch,
     gradient,
     log_likelihood,
@@ -23,6 +27,8 @@ from skillcheck.estimate import (
 )
 from skillcheck.logistic import sigmoid
 from skillcheck.resolve import SplitMix64
+
+DATA = Path(__file__).parent / "data"
 
 
 def make_records(pairs):
@@ -95,6 +101,20 @@ class TestLogLikelihood:
             log_likelihood(records, {}, {"t": 0.0})
         with pytest.raises(ValueError):
             log_likelihood(records, {"a": 0.0}, {})
+
+    def test_missing_parameter_names_first_offending_record(self):
+        records = make_records([("a", "t", True), ("a", "new", False), ("nobody", "t", True)])
+        with pytest.raises(ValueError, match="missing difficulty parameter for task 'new'"):
+            log_likelihood(records, {"a": 0.0}, {"t": 0.0})
+        # A record missing both is reported by its person.
+        with pytest.raises(ValueError, match="missing ability parameter for person 'nobody'"):
+            gradient(records[2:] + records, {"a": 0.0}, {"t": 0.0})
+
+    def test_success_counts_by_truth_value(self):
+        theta, beta = {"a": 0.3}, {"t": -0.2}
+        truthy = [OutcomeRecord("a", "t", 2), OutcomeRecord("a", "t", "")]
+        plain = make_records([("a", "t", True), ("a", "t", False)])
+        assert log_likelihood(truthy, theta, beta) == log_likelihood(plain, theta, beta)
 
     def test_slope_mapping_needs_only_tasks_with_records(self):
         records = make_records([("a", "t1", True), ("a", "t2", False)])
@@ -290,6 +310,31 @@ class TestFit:
             )
             assert abs(observed - predicted) < 0.01
 
+    def test_stalled_log_converges(self):
+        # A session log the benchmark writes for seed 12: near the optimum a
+        # full Newton step lowers the objective by a few ulps, and a line
+        # search that demands no loss at all stalled at the iteration cap.
+        records = read_outcome_csv(str(DATA / "stall_seed12_session68.csv"))
+        tol, ridge = 1e-8, 0.01
+        result = fit_rasch(records, max_iter=60)
+        assert result.converged and result.iterations < 60
+        # First-order condition, record by record: the data gradient minus
+        # ridge times the logit is one constant, up to 2 * tol.
+        foc = {name: -ridge * value for name, value in result.abilities.items()}
+        foc.update({name: -ridge * value for name, value in result.difficulties.items()})
+        for r in records:
+            resid = r.success - sigmoid(result.abilities[r.person] - result.difficulties[r.task])
+            foc[r.person] += resid
+            foc[r.task] -= resid
+        assert max(foc.values()) - min(foc.values()) <= 2 * tol + 1e-8
+
+    def test_ids_that_differ_by_a_trailing_nul_stay_apart(self):
+        records = make_records([("a", "t", True), ("a\0", "t", False), ("a", "t\0", False)])
+        result = fit_rasch(records)
+        assert list(result.abilities) == ["a", "a\0"]
+        assert list(result.difficulties) == ["t", "t\0"]
+        assert result.abilities["a"] > result.abilities["a\0"]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             fit_rasch([])
@@ -306,6 +351,56 @@ class TestFit:
             OutcomeRecord("", "t", True)
         with pytest.raises(ValueError):
             OutcomeRecord("p", "", True)
+
+
+def dense_hessian(kernel, p):
+    """The (persons + tasks) square Hessian of the kernel's objective, entry by entry."""
+    size = kernel.n_p + kernel.n_t
+    h = [[0.0] * size for _ in range(size)]
+    for i in range(size):
+        h[i][i] = -kernel.ridge
+    for a, b, n, r, q in zip(kernel.cp, kernel.n_p + kernel.ct, kernel.n, kernel.r, p):
+        info = n * r * r * q * (1.0 - q)
+        h[a][b] += info
+        h[b][a] += info
+        h[a][a] -= info
+        h[b][b] -= info
+    return np.array(h)
+
+
+class TestNewtonStep:
+    @pytest.mark.parametrize("n_persons,n_tasks", [(9, 4), (4, 9), (6, 6)])
+    @pytest.mark.parametrize("per_task_slope", [False, True])
+    def test_matches_dense_solve(self, n_persons, n_tasks, per_task_slope):
+        rng = SplitMix64(7 * n_persons + n_tasks)
+        persons = [f"p{i}" for i in range(n_persons)]
+        tasks = [f"t{j}" for j in range(n_tasks)]
+        # Repeated and missing cells: some cells hold several attempts.
+        records = [
+            OutcomeRecord(p, t, rng.random() < 0.6)
+            for p in persons
+            for t in tasks
+            for _ in range(int(3 * rng.random()))
+        ]
+        slope = {t: 0.5 + j * 0.25 for j, t in enumerate(tasks)} if per_task_slope else 1.3
+        kernel = _Kernel(_columns(records), persons, tasks, slope, 0.05)
+        w = np.array([-2.0 + 4.0 * rng.random() for _ in range(n_persons + n_tasks)])
+        g, p = kernel.gradient(w)
+        expected = -np.linalg.solve(dense_hessian(kernel, p), g)
+        np.testing.assert_allclose(kernel.newton(g, p), expected, rtol=1e-10)
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [("ace", "t1", True), ("ace", "t2", True), ("ace", "t3", True), ("bob", "t1", False)],
+            [("ace", "t1", True), ("bob", "t1", True), ("cat", "t1", False), ("cat", "t2", True)],
+        ],
+    )
+    def test_unpenalized_extreme_warns_without_error(self, pairs):
+        with pytest.warns(RuntimeWarning, match="diverges"):
+            result = fit_rasch(make_records(pairs), ridge=0.0, max_iter=50)
+        assert "ace" in result.extreme
+        assert all(math.isfinite(v) for v in result.abilities.values())
 
 
 class TestEstimatorApi:
