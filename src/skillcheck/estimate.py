@@ -158,8 +158,9 @@ class _Kernel:
         self.r = np.array([_slope_for(tasks[j], slope) for j in used.tolist()])[at]
 
     def sums(self, v: np.ndarray) -> np.ndarray:
-        """Per-identifier totals of a per-cell quantity, summed in cell order."""
-        return np.r_[np.bincount(self.cp, v, self.n_p), np.bincount(self.ct, v, self.n_t)]
+        """Per-identifier float64 totals of a per-cell quantity, summed in cell order."""
+        sums = np.r_[np.bincount(self.cp, v, self.n_p), np.bincount(self.ct, v, self.n_t)]
+        return sums.astype(float, copy=False)  # bincount of no weights is int64
 
     def _z(self, w: np.ndarray) -> np.ndarray:
         return self.r * (w[self.cp] - w[self.n_p + self.ct])

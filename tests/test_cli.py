@@ -467,3 +467,45 @@ class TestTopLevel:
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
         assert "subcommand" in out or "usage" in out
+
+
+class TestParserReuse:
+    """``main`` reuses one parser; its output must match a fresh parser per call."""
+
+    def _sequence(self, tmp_path):
+        log = str(_twelve_by_six_log(tmp_path))
+        sum3d6 = ["--mechanic", "sum", "--dice", "3", "--sides", "6"]
+        return [
+            ["dist", *sum3d6, "--modifier", "3", "--difficulty", "14", "--success"],
+            ["dist", *sum3d6, "--difficulty", "14", "--success"],  # --modifier back to 0
+            ["dist", *sum3d6],  # --success and --difficulty back to their defaults
+            ["check", *sum3d6, "--difficulty", "11", "--seed", "42"],
+            ["fit", "--input", log, "--ridge", "0.5"],
+            ["fit", "--input", log],  # --ridge back to its default
+            ["dist", "--mechanic", "sum", "--sides", "6", "--bogus"],  # usage error, exit 2
+            ["check", "--model", '{"ability": 1, "difficulty": 0}', "--seed", "7"],
+            ["--help"],
+            ["dist", "--mechanic", "sum", "--dice", "0", "--sides", "6"],  # domain error, exit 1
+            ["check", *sum3d6, "--seed", "42"],
+            ["compare", "--pair", "dice", "--summary", *sum3d6],
+            ["compare", "--pair", "dice", *sum3d6],  # --summary back to off
+            ["dist", "--help"],
+            ["dist", *sum3d6, "--success"],
+        ]
+
+    def _run_all(self, capsys, argvs):
+        return [run_cli(capsys, *argv) for argv in argvs]
+
+    def test_interleaved_calls_match_a_fresh_parser_each(self, capsys, tmp_path, monkeypatch):
+        argvs = self._sequence(tmp_path) * 2
+        reused = self._run_all(capsys, argvs)
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = self._run_all(capsys, argvs)
+        assert reused == fresh
+        assert {code for code, _, _ in reused} == {0, 1, 2}
+        assert reused[:len(argvs) // 2] == reused[len(argvs) // 2:]
+
+    def test_build_parser_still_returns_a_new_parser(self):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli.build_parser() is not cli._parser()

@@ -345,3 +345,119 @@ def test_exact_sums_are_capped_but_closed_forms_are_not():
             outcome_distribution(m)
     assert len(outcome_distribution(MaxPool(60, 100)).support) == 100
     assert len(outcome_distribution(BinomialPool(501, 2, 2, 0)).support) == 502
+
+
+# --- integer counts and Kronecker sums ----------------------------------------
+# Oracles below use only the standard library: a pairwise Fraction convolution
+# and a prefix-sum recurrence over integer counts of ways.
+
+
+def pairwise_convolution(a, b):
+    acc = {}
+    for ka, ma in zip(a.support, a.mass):
+        for kb, mb in zip(b.support, b.mass):
+            acc[ka + kb] = acc.get(ka + kb, Fraction(0)) + ma * mb
+    return {k: v for k, v in acc.items() if v != 0}
+
+
+def ways_of_sum(n, s):
+    """Counts of ways of each total n..n*s of n dice with s faces."""
+    ways = [1]  # zero dice: one way to total 0
+    for _ in range(n):
+        prefix = [0]
+        for w in ways:
+            prefix.append(prefix[-1] + w)
+        # index t is the total minus the dice rolled; one more die adds 1..s,
+        # so its ways at t are ways[t - s + 1] + ... + ways[t]
+        ways = [prefix[min(t + 1, len(ways))] - prefix[max(t + 1 - s, 0)] for t in range(len(ways) + s - 1)]
+    return ways
+
+
+@st.composite
+def distributions(draw):
+    """Supports with gaps and negative outcomes, masses over unequal denominators."""
+    support = sorted(draw(st.sets(st.integers(-40, 40), min_size=1, max_size=6)))
+    weights = draw(st.lists(st.integers(1, 30), min_size=len(support), max_size=len(support)))
+    total = sum(weights)
+    return DiscreteDist(tuple(support), tuple(Fraction(w, total) for w in weights))
+
+
+@given(distributions(), distributions())
+def test_convolve_matches_pairwise_fraction_convolution(a, b):
+    got = convolve(a, b)
+    assert dict(got.items()) == pairwise_convolution(a, b)
+    assert list(got.support) == sorted(pairwise_convolution(a, b))
+    assert sum(got.mass) == 1
+
+
+def test_convolve_point_masses_and_gaps():
+    assert convolve(constant(-7), constant(3)) == constant(-4)
+    gappy = DiscreteDist((-10, 0, 25), (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
+    skewed = DiscreteDist((-3, 4), (Fraction(3, 4), Fraction(1, 4)))
+    assert dict(convolve(gappy, skewed).items()) == pairwise_convolution(gappy, skewed)
+    assert convolve(gappy, constant(0)) == gappy
+
+
+@pytest.mark.parametrize("n,s", [(500, 2), (2, 500), (10, 100), (1, 1000), (250, 4)])
+def test_sums_at_the_cap_match_the_integer_recurrence(n, s):
+    d = outcome_distribution(SumRollOver(n, s))
+    ways = ways_of_sum(n, s)
+    assert d.support == tuple(range(n, n * s + 1))
+    assert d.mass == tuple(Fraction(w, s**n) for w in ways)
+    threshold = n * (s + 1) // 2
+    expected = Fraction(sum(w for t, w in enumerate(ways, n) if t >= threshold), s**n)
+    assert success_probability(SumRollOver(n, s, difficulty=threshold)) == expected
+
+
+def test_one_distribution_built_three_ways_is_equal_and_hashes_equal():
+    masses = (Fraction(1, 9), Fraction(2, 9), Fraction(3, 9), Fraction(2, 9), Fraction(1, 9))
+    built = [
+        DiscreteDist((2, 3, 4, 5, 6), masses),
+        DiscreteDist.from_mapping({2: Fraction(1, 9), 3: Fraction(2, 9), 4: Fraction(1, 3),
+                                   5: Fraction(2, 9), 6: Fraction(1, 9), 7: Fraction(0)}),
+        convolve(die(3), die(3)),
+        outcome_distribution(SumRollOver(2, 3)),
+    ]
+    for d in built:
+        assert d == built[0]
+        assert hash(d) == hash(built[0])
+        assert repr(d) == repr(built[0])
+        assert d.mass == masses
+    assert built[0] != convolve(die(3), constant(1))
+    assert len(set(built)) == 1
+    # 9, 18 and 9 ways in 36 are the same distribution as 1, 2 and 1 in 4
+    coin = DiscreteDist((0, 1), (Fraction(1, 2), Fraction(1, 2)))
+    halves = [
+        outcome_distribution(BinomialPool(2, 6, 4, 0)),
+        convolve(coin, coin),
+        DiscreteDist((0, 1, 2), (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))),
+    ]
+    assert halves[0] == halves[1] == halves[2]
+    assert len({hash(d) for d in halves}) == 1
+    assert len({repr(d) for d in halves}) == 1
+
+
+def test_post_init_runs_once_per_built_distribution(monkeypatch):
+    seen = []
+    original = DiscreteDist.__post_init__
+
+    def counted(self):
+        seen.append(self)
+        original(self)
+
+    monkeypatch.setattr(DiscreteDist, "__post_init__", counted)
+    a, b = die(6), constant(2)
+    results = [
+        a,
+        b,
+        DiscreteDist((0, 1), (Fraction(1, 2), Fraction(1, 2))),
+        DiscreteDist.from_mapping({0: Fraction(1, 4), 5: Fraction(3, 4)}),
+        convolve(a, b),
+        outcome_distribution(SumRollOver(3, 6)),
+        outcome_distribution(BinomialPool(4, 6, 5, 2)),
+        outcome_distribution(MaxPool(3, 6)),
+        outcome_distribution(StepDie(8)),
+    ]
+    assert len({id(d) for d in seen}) == len(seen)  # no instance ran it twice
+    for d in results:
+        assert any(d is s for s in seen)

@@ -192,6 +192,14 @@ class TestGradient:
         w = np.array([theta[k] for k in sorted(theta)] + [beta[k] for k in sorted(beta)])
         assert np.array_equal(g1, g0 - 0.3 * w)
 
+    def test_no_records_gives_the_penalty_gradient(self):
+        theta, beta = {"a": 1.0}, {"t": 0.5}
+        g = gradient([], theta, beta, ridge=1.0)
+        assert g.dtype == np.float64
+        assert np.array_equal(g, [-1.0, -0.5])  # -ridge * w
+        # the objective it differentiates is -ridge/2 * |w|^2 alone
+        assert log_likelihood([], theta, beta, ridge=1.0) == -0.625
+
 
 class TestFit:
     def test_forced_ordering_two_by_two(self):
