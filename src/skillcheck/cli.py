@@ -191,9 +191,13 @@ def _cmd_simulate(args, parser) -> None:
         print("n,successes,rate,exact_probability")
         print(f"{args.n},{successes},{_fmt(rate)},{_fmt(exact)}")
         return
-    print("trial,success")
-    for i in range(1, args.n + 1):
-        print(f"{i},{resolve.simulate_count(target, 1, rng)}")
+    blocks = resolve._successes(target, args.n, rng)  # raises before the header is written
+    sys.stdout.write("trial,success\n")
+    i = 1
+    for flags in blocks:
+        trials = range(i, i + len(flags))
+        sys.stdout.write("".join([f"{t},{s}\n" for t, s in zip(trials, flags.view("u1").tolist())]))
+        i = trials.stop
 
 
 def build_parser() -> argparse.ArgumentParser:

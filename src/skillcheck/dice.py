@@ -182,12 +182,17 @@ def _max_distribution(m: "Mechanic") -> DiscreteDist:
     return _counted(1, (k**n - (k - 1) ** n for k in range(1, d + 1)), d**n)
 
 
-# Per reducer: the outcome of one attempt's faces, and its exact distribution.
+# Per reducer: the outcome of one attempt's faces, its exact distribution, and the
+# outcomes of many attempts from a numpy array of faces, one attempt per row.
 _REDUCERS = {
-    "face": (lambda m, faces: faces[0], lambda m: die(m.sides)),
-    "sum": (lambda m, faces: sum(faces), _sum_distribution),
-    "count": (lambda m, faces: sum(1 for f in faces if f >= m.threshold), _count_distribution),
-    "max": (lambda m, faces: max(faces), _max_distribution),
+    "face": (lambda m, faces: faces[0], lambda m: die(m.sides), lambda m, f: f[:, 0]),
+    "sum": (lambda m, faces: sum(faces), _sum_distribution, lambda m, f: f.sum(1)),
+    "count": (
+        lambda m, faces: sum(1 for f in faces if f >= m.threshold),
+        _count_distribution,
+        lambda m, f: (f >= m.threshold).sum(1),
+    ),
+    "max": (lambda m, faces: max(faces), _max_distribution, lambda m, f: f.max(1)),
 }
 
 
@@ -225,7 +230,7 @@ class Mechanic:
     def __init_subclass__(cls, **kwargs: object) -> None:
         super().__init_subclass__(**kwargs)
         # Chosen once per family, so that a roll pays for no dispatch.
-        cls.outcome_of, cls._distribution = _REDUCERS[cls.reducer]  # type: ignore[attr-defined]
+        cls.outcome_of, cls._distribution, cls._outcomes_of = _REDUCERS[cls.reducer]  # type: ignore
         cls.succeeds = _at_most if cls.bound == "target" else _at_least  # type: ignore
 
     def __post_init__(self) -> None:
@@ -364,8 +369,12 @@ def outcome_distribution(m: Mechanic) -> DiscreteDist:
 
 def success_probability(m: Mechanic) -> Fraction:
     """Exact probability that the mechanic's success rule fires."""
+    limit, at_most = m._limit, m.bound == "target"  # type: ignore[attr-defined]
+    if m.reducer == "face":  # k of the faces 1..sides are at most the limit, or below it
+        k = min(max(limit if at_most else limit - 1, 0), m.die_sides)
+        return Fraction(k if at_most else m.die_sides - k, m.die_sides)
     d = m.outcome_distribution()
-    return Fraction(sum(c for k, c in zip(d.support, d.counts) if m.succeeds(k)), d.den)
+    return d.cdf(limit) if at_most else d.tail_geq(limit)
 
 
 def dist_to_csv(d: DiscreteDist) -> str:

@@ -8,9 +8,10 @@ own instance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .dice import Mechanic, success_probability
 from .logistic import FourPL, Probability, sigmoid
@@ -29,6 +30,29 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+# Every face and every outcome must fit in int64, for the batch path: dice * sides < 2**63.
+_BOUND = 1 << 63
+# Draws per numpy block of the batch path, which bounds its memory.
+_BLOCK = 8192
+
+
+def _check_dice(dice: int, sides: int) -> None:
+    if sides < 1:
+        raise ValueError(f"die must have at least 1 side, got {sides}")
+    if dice * sides >= _BOUND:
+        raise ValueError(f"dice * sides must be below 2**63, got {dice} * {sides}")
+
+
+@functools.cache
+def _steps():
+    """``i * gamma`` mod 2**64 for i in 1.._BLOCK: a block's states less the start state."""
+    import numpy as np
+
+    steps = np.arange(1, _BLOCK + 1, dtype=np.uint64) * _GAMMA
+    steps.flags.writeable = False
+    return steps
 
 
 class SplitMix64:
@@ -37,6 +61,10 @@ class SplitMix64:
     Small, fast and well studied; reproducibility is guaranteed within a
     build for a given seed. Die faces are drawn by rejection sampling so no
     face is favored by modulo bias.
+
+    The state after ``i`` draws is ``seed + i * gamma`` mod 2**64, so a block
+    of draws is one numpy expression (Steele, Lea & Flood 2014); scalar and
+    block draws share the one stream and can be mixed freely.
     """
 
     __slots__ = ("_state",)
@@ -45,20 +73,31 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_uint64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
+
+    def _block(self, k: int):
+        """The next ``k <= _BLOCK`` outputs as a numpy uint64 array; the state moves ``k`` draws."""
+        z = _steps()[:k] + self._state  # uint64 arithmetic wraps mod 2**64
+        self._state = (self._state + k * _GAMMA) & _MASK64
+        z ^= z >> 30
+        z *= _MIX1
+        z ^= z >> 27
+        z *= _MIX2
+        z ^= z >> 31
+        return z
 
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 random bits."""
         return (self.next_uint64() >> 11) * 2.0**-53
 
     def roll_die(self, sides: int) -> int:
-        """Uniform face in 1..sides, bias free."""
-        if sides < 1:
-            raise ValueError(f"die must have at least 1 side, got {sides}")
+        """Uniform face in 1..sides, bias free; ``sides`` must be below 2**63."""
+        if not 0 < sides < _BOUND:
+            _check_dice(1, sides)
         limit = ((1 << 64) // sides) * sides
         while True:
             v = self.next_uint64()
@@ -88,6 +127,7 @@ def resolve_model(model: FourPL, rng: SplitMix64) -> CheckResult:
 
 def resolve_mechanic(mechanic: Mechanic, rng: SplitMix64) -> CheckResult:
     """Roll the mechanic's dice and apply its success rule."""
+    _check_dice(mechanic.dice_count, mechanic.die_sides)
     faces = [rng.roll_die(mechanic.die_sides) for _ in range(mechanic.dice_count)]
     outcome = mechanic.outcome_of(faces)
     return CheckResult(
@@ -97,27 +137,53 @@ def resolve_mechanic(mechanic: Mechanic, rng: SplitMix64) -> CheckResult:
     )
 
 
-def simulate_count(target: Union[FourPL, Mechanic], n: int, rng: SplitMix64) -> int:
-    """Number of successes over ``n`` checks; draws match n single resolutions."""
+def _model_flags(p: float, n: int, rng: SplitMix64) -> Iterator:
+    for done in range(0, n, _BLOCK):
+        v = rng._block(min(_BLOCK, n - done))
+        yield (v >> 11) * 2.0**-53 < p  # rng.random() < p, exact in float64
+
+
+def _mechanic_flags(m: Mechanic, n: int, rng: SplitMix64) -> Iterator:
+    import numpy as np
+
+    sides, dice = m.die_sides, m.dice_count
+    limit = ((1 << 64) // sides) * sides  # roll_die's rejection bound; 2**64 rejects none
+    # Outcomes lie in 0..2**63 - 1, so clamping the limit to int64 keeps every comparison.
+    bound = min(max(m._limit, -_BOUND), _BOUND - 1)  # type: ignore[attr-defined]
+    at_most = m.bound == "target"
+    faces = np.empty(0, np.int64)  # accepted faces of a trial not yet complete
+    while n:
+        # Draw no more than the trials left need, so the last block is used to its last draw.
+        v = rng._block(min(_BLOCK, n * dice - len(faces)))
+        if limit <= _MASK64:
+            v = v[v < limit]
+        faces = np.concatenate((faces, (v % sides + 1).astype(np.int64)))
+        trials = len(faces) // dice
+        if trials:
+            outcomes = m._outcomes_of(faces[: trials * dice].reshape(trials, dice))  # type: ignore[attr-defined]
+            faces = faces[trials * dice :]
+            n -= trials
+            yield outcomes <= bound if at_most else outcomes >= bound
+
+
+def _successes(target: Union[FourPL, Mechanic], n: int, rng: SplitMix64) -> Iterator:
+    """Success flags of ``n`` checks as numpy bool arrays, one per block of draws.
+
+    The flags and the state after the last one are those of ``n`` calls of
+    ``resolve_model`` or ``resolve_mechanic``. The arguments are checked here,
+    before the first block is drawn.
+    """
     if n < 0:
         raise ValueError(f"trial count must be nonnegative, got {n}")
-    successes = 0
     if isinstance(target, FourPL):
-        p = target.probability()
-        rand = rng.random
-        for _ in range(n):
-            if rand() < p:
-                successes += 1
-        return successes
-    sides = target.die_sides
-    count = target.dice_count
-    roll = rng.roll_die
-    outcome_of = target.outcome_of
-    succeeds = target.succeeds
-    for _ in range(n):
-        if succeeds(outcome_of([roll(sides) for _ in range(count)])):
-            successes += 1
-    return successes
+        return _model_flags(target.probability(), n, rng)
+    _check_dice(target.dice_count, target.die_sides)
+    return _mechanic_flags(target, n, rng)
+
+
+def simulate_count(target: Union[FourPL, Mechanic], n: int, rng: SplitMix64) -> int:
+    """Number of successes over ``n`` checks; draws match n single resolutions."""
+    return sum(int(flags.sum()) for flags in _successes(target, n, rng))
 
 
 def opposed(a: float, b: float) -> Probability:

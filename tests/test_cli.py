@@ -8,9 +8,10 @@ import pytest
 
 from skillcheck import cli
 from skillcheck.compare import figure_data
-from skillcheck.dice import SumRollOver, success_probability
+from skillcheck.dice import BinomialPool, SumRollOver, success_probability
 from skillcheck.estimate import fit_rasch, read_outcome_csv
-from skillcheck.resolve import SplitMix64, simulate_count
+from skillcheck.logistic import FourPL
+from skillcheck.resolve import SplitMix64, resolve_mechanic, resolve_model, simulate_count
 
 
 def run_cli(capsys, *argv):
@@ -379,6 +380,43 @@ class TestSimulate:
         assert code == 0
         successes = int(agg.strip().split("\n")[1].split(",")[1])
         assert sum(row.endswith(",1") for row in rows) == successes
+
+    @pytest.mark.parametrize(
+        "flags,target,resolve",
+        [
+            (("--model", '{"ability": 0.4, "difficulty": 0.1, "upper": 0.9}'),
+             FourPL(0.4, 0.1, upper=0.9), resolve_model),
+            (("--mechanic", "binomial", "--dice", "5", "--sides", "10", "--threshold", "6",
+              "--required", "3"), BinomialPool(5, 10, 6, 3), resolve_mechanic),
+        ],
+        ids=["model", "mechanic"],
+    )
+    def test_trial_rows_are_the_scalar_checks(self, capsys, flags, target, resolve):
+        n = 8300  # past one block of draws
+        code, out, err = run_cli(capsys, "simulate", *flags, "--n", str(n), "--seed", "-9")
+        rng = SplitMix64(-9)
+        rows = "".join(f"{i},{int(resolve(target, rng).success)}\n" for i in range(1, n + 1))
+        assert (code, out, err) == (0, "trial,success\n" + rows, "")
+
+    @pytest.mark.parametrize(
+        "target",
+        [("--model", '{"ability": 0, "difficulty": 0}'), ("--mechanic", "step", "--sides", "6")],
+        ids=["model", "mechanic"],
+    )
+    def test_zero_trials_print_the_header(self, capsys, target):
+        assert run_cli(capsys, "simulate", *target, "--n", "0", "--seed", "1") == (
+            0, "trial,success\n", "")
+
+    @pytest.mark.parametrize(
+        "command",
+        [("check",), ("simulate", "--n", "3"), ("simulate", "--n", "3", "--aggregate")],
+        ids=["check", "per-trial", "aggregate"],
+    )
+    def test_unrollable_die_is_a_one_line_error(self, capsys, command):
+        die = ("--mechanic", "roll-under", "--sides", str(2**64 + 1), "--target", "1")
+        code, out, err = run_cli(capsys, *command, *die, "--seed", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: dice * sides must be below 2**63, got 1 * 18446744073709551617\n"
 
     @pytest.mark.parametrize("mode", [(), ("--aggregate",)], ids=["per-trial", "aggregate"])
     def test_negative_trials_rejected(self, capsys, mode):

@@ -196,6 +196,37 @@ def test_success_probability_in_unit_interval(mech):
     assert 0 <= p <= 1
 
 
+# Every family and every limit from below the least outcome to past the greatest.
+every_family_strategy = st.one_of(
+    mechanics_strategy,
+    st.builds(UniformRollOver, sides=st.integers(2, 12), modifier=st.integers(-4, 4),
+              difficulty=st.integers(-2, 18)),
+    st.builds(GeneralPool, dice=st.integers(1, 3), sides=st.integers(2, 6),
+              difficulty=st.integers(0, 20)),
+    st.builds(StepDie, sides=st.integers(2, 12), difficulty=st.integers(-2, 14)),
+)
+
+
+@given(every_family_strategy)
+def test_success_probability_lookup_matches_enumeration(mech):
+    assert success_probability(mech) == enumerate_mechanic(mech)[1]
+
+
+@pytest.mark.parametrize(
+    "mech,expected",
+    [
+        (UniformRollUnder(sides=2**64 + 1, target=5), Fraction(5, 2**64 + 1)),
+        (UniformRollUnder(sides=10**30, target=10**31), Fraction(1)),
+        (UniformRollOver(sides=10**30, modifier=1, difficulty=10**30), Fraction(2, 10**30)),
+        (StepDie(sides=2**80, difficulty=-(2**90)), Fraction(1)),
+        (StepDie(sides=2**80, difficulty=2**80 + 1), Fraction(0)),
+    ],
+)
+def test_single_die_success_is_a_closed_form(mech, expected, monkeypatch):
+    monkeypatch.setattr("skillcheck.dice.die", None)  # a face family never builds the die
+    assert success_probability(mech) == expected
+
+
 class TestMonotonicity:
     def test_roll_under_in_target(self):
         probs = [success_probability(UniformRollUnder(10, t)) for t in range(-1, 13)]

@@ -3,12 +3,15 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from skillcheck.dice import (
     BinomialPool,
+    GeneralPool,
     MaxPool,
+    StepDie,
     SumRollOver,
+    UniformRollOver,
     UniformRollUnder,
     success_probability,
 )
@@ -25,6 +28,7 @@ from skillcheck.resolve import (
     resolve_mechanic,
     resolve_model,
     simulate_count,
+    _successes,
 )
 
 
@@ -154,6 +158,122 @@ class TestSimulateCount:
     def test_negative_trials(self):
         with pytest.raises(ValueError):
             simulate_count(FourPL(0.0, 0.0), -1, SplitMix64(1))
+
+
+# One target per family, and a model; each scalar call is the reference for the batch path.
+TARGETS = [
+    UniformRollUnder(sides=20, target=9),
+    UniformRollOver(sides=20, modifier=2, difficulty=13),
+    SumRollOver(dice=3, sides=6, modifier=0, difficulty=11),
+    BinomialPool(dice=5, sides=10, threshold=6, required=3),
+    GeneralPool(dice=4, sides=4, difficulty=10),
+    StepDie(sides=8, difficulty=5),
+    MaxPool(dice=3, sides=10, difficulty=8),
+    FourPL(0.3, 0.0, lower=0.2),
+]
+# Accepts about three quarters of draws: 2**64 // sides is 3.
+REJECTING = UniformRollUnder(sides=2**62 + 1, target=2**61)
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def scalar_flags(target, n, rng):
+    resolve = resolve_model if isinstance(target, FourPL) else resolve_mechanic
+    return [resolve(target, rng).success for _ in range(n)]
+
+
+def batch_flags(target, n, rng):
+    return [bool(f) for block in _successes(target, n, rng) for f in block]
+
+
+def draws_between(seed, rng):
+    """Draws taken since ``SplitMix64(seed)``: the state moves by gamma per draw."""
+    return ((rng._state - seed) * pow(GAMMA, -1, 2**64)) % 2**64
+
+
+class TestBatchSampler:
+    @pytest.mark.parametrize("target", TARGETS, ids=lambda t: type(t).__name__)
+    # Enough trials for at least this many draws: around 8192 the draws fill one block
+    # or spill into a second, and with three or five dice one trial straddles the two.
+    @pytest.mark.parametrize(
+        "draws,seed", [(0, -7), (1, 2**64 + 12345), (8191, -7), (8192, 2**64 + 12345), (8193, -1)]
+    )
+    def test_matches_scalar_calls(self, target, draws, seed):
+        n = -(-draws // getattr(target, "dice_count", 1))
+        batch, scalar = SplitMix64(seed), SplitMix64(seed)
+        assert batch_flags(target, n, batch) == scalar_flags(target, n, scalar)
+        assert batch.next_uint64() == scalar.next_uint64()
+
+    @pytest.mark.parametrize("n", [1, 8191, 8192, 8193])
+    def test_rejected_draws_are_skipped_in_stream_order(self, n):
+        batch, scalar = SplitMix64(-3), SplitMix64(-3)
+        assert batch_flags(REJECTING, n, batch) == scalar_flags(REJECTING, n, scalar)
+        assert batch._state == scalar._state
+        if n > 1000:
+            assert 1.2 * n < draws_between(-3, batch) < 1.5 * n
+
+    @pytest.mark.parametrize("target", TARGETS + [REJECTING], ids=lambda t: type(t).__name__)
+    def test_batch_and_scalar_calls_mix(self, target):
+        n = 9000 // getattr(target, "dice_count", 1)  # more than one block of draws
+        mixed, scalar = SplitMix64(2**64 + 5), SplitMix64(2**64 + 5)
+        got = scalar_flags(target, 3, mixed) + batch_flags(target, n, mixed)
+        got += scalar_flags(target, 2, mixed) + batch_flags(target, 5, mixed)
+        assert got == scalar_flags(target, n + 10, scalar)
+        assert mixed.next_uint64() == scalar.next_uint64()
+
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(
+        target=st.sampled_from(TARGETS + [REJECTING]),
+        seed=st.integers(-(2**70), 2**70),
+        before=st.integers(0, 3),
+        n=st.integers(0, 3000),
+    )
+    def test_matches_scalar_calls_fuzzed(self, target, seed, before, n):
+        batch, scalar = SplitMix64(seed), SplitMix64(seed)
+        scalar_flags(target, before, batch)
+        assert simulate_count(target, n, batch) == sum(scalar_flags(target, before + n, scalar)[before:])
+        assert batch.next_uint64() == scalar.next_uint64()
+
+    def test_block_outputs_are_the_scalar_stream(self):
+        batch, scalar = SplitMix64(-1), SplitMix64(-1)
+        assert batch._block(8192).tolist() == [scalar.next_uint64() for _ in range(8192)]
+        assert batch._state == scalar._state
+
+    def test_arguments_are_checked_before_any_draw(self):
+        rng = SplitMix64(1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            _successes(FourPL(0.0, 0.0), -1, rng)
+        with pytest.raises(ValueError, match=r"dice \* sides must be below 2\*\*63"):
+            _successes(SumRollOver(dice=2, sides=2**62), 1, rng)
+        assert rng._state == 1
+
+
+class TestDomainBound:
+    """Every face and outcome fits in int64: dice * sides < 2**63, on both paths."""
+
+    def test_roll_die_largest_side(self):
+        rng = SplitMix64(4)
+        assert 1 <= rng.roll_die(2**63 - 1) <= 2**63 - 1
+        with pytest.raises(ValueError, match=r"got 1 \* 9223372036854775808"):
+            rng.roll_die(2**63)
+
+    @pytest.mark.parametrize(
+        "mech",
+        [UniformRollUnder(sides=2**64 + 1, target=1), SumRollOver(dice=2, sides=2**62)],
+        ids=["huge-die", "huge-sum"],
+    )
+    def test_past_the_bound_is_an_error_not_a_hang(self, mech):
+        with pytest.raises(ValueError, match=r"dice \* sides must be below 2\*\*63"):
+            resolve_mechanic(mech, SplitMix64(1))
+        with pytest.raises(ValueError, match=r"dice \* sides must be below 2\*\*63"):
+            simulate_count(mech, 0, SplitMix64(1))
+
+    def test_largest_sums_fit(self):
+        mech = SumRollOver(dice=2, sides=2**62 - 1, difficulty=2**62)
+        batch, scalar = SplitMix64(9), SplitMix64(9)
+        assert batch_flags(mech, 50, batch) == [
+            sum(scalar.roll_die(2**62 - 1) for _ in range(2)) >= 2**62 for _ in range(50)
+        ]
+        assert batch._state == scalar._state
 
 
 class TestOpposed:
