@@ -18,7 +18,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from . import compare, dice, estimate, evidence, logistic, resolve
+from . import compare, dice, evidence, logistic, resolve
 
 # --mechanic name to family; each family's fields are its flags.
 MECHANICS = {
@@ -165,6 +165,8 @@ def _cmd_figure(args, parser) -> None:
 
 
 def _cmd_fit(args, parser) -> None:
+    from . import estimate  # numpy loads here, not on import
+
     columns = estimate._read_columns(sys.stdin if args.input == "-" else args.input)
     result = estimate._fit(
         columns,

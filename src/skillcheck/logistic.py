@@ -15,8 +15,9 @@ probability ``a / (a + x)``, i.e. at odds ``a:x``.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any
 
 __all__ = [
     "Probability",
@@ -143,7 +144,13 @@ class FourPL:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "FourPL":
-        """Build from a mapping; slope defaults to 1, asymptotes to 0 and 1."""
+        """Build from a mapping; slope defaults to 1, asymptotes to 0 and 1.
+
+        Raises ``ValueError`` for a non-mapping, an unknown or missing field,
+        or a value that ``float`` rejects.
+        """
+        if not isinstance(d, Mapping):
+            raise ValueError("model must be a JSON object")
         known = {"ability", "difficulty", "slope", "lower", "upper"}
         unknown = set(d) - known
         if unknown:
@@ -151,12 +158,19 @@ class FourPL:
         if "ability" not in d or "difficulty" not in d:
             raise ValueError("model requires ability and difficulty")
         return cls(
-            ability=float(d["ability"]),
-            difficulty=float(d["difficulty"]),
-            slope=float(d.get("slope", 1.0)),
-            lower=float(d.get("lower", 0.0)),
-            upper=float(d.get("upper", 1.0)),
+            ability=_number("ability", d["ability"]),
+            difficulty=_number("difficulty", d["difficulty"]),
+            slope=_number("slope", d.get("slope", 1.0)),
+            lower=_number("lower", d.get("lower", 0.0)),
+            upper=_number("upper", d.get("upper", 1.0)),
         )
+
+
+def _number(field: str, value: Any) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"model field {field} must be a number, got {value!r}") from None
 
 
 def logistic_cdf(t: float, mean: float = 0.0, scale: float = 1.0) -> Probability:

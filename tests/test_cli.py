@@ -87,6 +87,24 @@ class TestCheck:
         code, _, err = run_cli(capsys, "check", "--model", "{nope", "--seed", "1")
         assert code == 1
 
+    @pytest.mark.parametrize("command", [("check",), ("simulate", "--n", "3"),
+                                         ("simulate", "--n", "3", "--aggregate")])
+    @pytest.mark.parametrize(
+        "model,message",
+        [
+            ("1", "model must be a JSON object"),
+            ("null", "model must be a JSON object"),
+            ("[1]", "model must be a JSON object"),
+            ('{"ability": [1], "difficulty": 0}', "model field ability must be a number, got [1]"),
+            ('{"ability": {}, "difficulty": 0}', "model field ability must be a number, got {}"),
+            ('{"ability": 0, "difficulty": "hard"}',
+             "model field difficulty must be a number, got 'hard'"),
+        ],
+    )
+    def test_model_that_is_not_numbers_is_a_one_line_error(self, capsys, command, model, message):
+        code, out, err = run_cli(capsys, *command, "--model", model, "--seed", "1")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 class TestOpposed:
     def test_multiplicative(self, capsys):
@@ -475,6 +493,18 @@ class TestDomainEdges:
              "exact sums need"),
             (("check", "--mechanic", "sum", "--dice", "60", "--sides", "100", "--seed", "1"),
              "exact sums need"),
+            (("dist", "--mechanic", "max", "--dice", "100000", "--sides", "1000", "--success"),
+             "exact max distributions need outcomes * (bits + 64) <= 10000000, "
+             "got 1000 * (1000000 + 64) for 100000d1000"),
+            (("dist", "--mechanic", "binomial", "--dice", "20000", "--sides", "10",
+              "--threshold", "6", "--required", "1"), "exact count distributions need"),
+            (("check", "--mechanic", "max", "--dice", "1", "--sides", "124000", "--seed", "1"),
+             "exact max distributions need"),
+            (("compare", "--pair", "dice", "--mechanic", "max", "--dice", "1", "--sides", "124000"),
+             "exact max distributions need"),
+            (("simulate", "--mechanic", "binomial", "--dice", "4000", "--sides", "10",
+              "--threshold", "6", "--required", "1", "--n", "3", "--seed", "1", "--aggregate"),
+             "exact count distributions need"),
         ],
     )
     def test_out_of_range_input_is_a_one_line_error(self, capsys, argv, message):

@@ -378,6 +378,29 @@ def test_exact_sums_are_capped_but_closed_forms_are_not():
     assert len(outcome_distribution(BinomialPool(501, 2, 2, 0)).support) == 502
 
 
+# The count and max bound: outcomes * (bits + 64) <= 10**7, bits = dice * (sides - 1).bit_length().
+@pytest.mark.parametrize(
+    "inside,p,outside",
+    [
+        (MaxPool(1, 123000, 100), Fraction(123000 - 99, 123000), MaxPool(1, 124000, 100)),
+        (BinomialPool(498, 2**40, 2**39 + 1, 498), Fraction(1, 2**498),
+         BinomialPool(499, 2**40, 2**39 + 1, 499)),
+    ],
+)
+def test_count_and_max_distributions_are_bounded(inside, p, outside):
+    assert success_probability(inside) == p
+    for fn in (success_probability, outcome_distribution):
+        with pytest.raises(ValueError, match=r"distributions need outcomes \* \(bits \+ 64\) <= 10000000"):
+            fn(outside)
+
+
+def test_count_and_max_bound_refuses_at_once():
+    # Without the bound these were still running after 20 s.
+    for m in (BinomialPool(20000, 10, 6, 1), MaxPool(100000, 1000), MaxPool(1, 10**18)):
+        with pytest.raises(ValueError, match=rf"^exact {m.reducer} distributions need .* for {m.dice}d{m.sides}$"):
+            success_probability(m)
+
+
 # --- integer counts and Kronecker sums ----------------------------------------
 # Oracles below use only the standard library: a pairwise Fraction convolution
 # and a prefix-sum recurrence over integer counts of ways.

@@ -194,6 +194,24 @@ class TestFourPL:
         with pytest.raises(ValueError):
             FourPL.from_dict({"ability": 1.0})
 
+    @pytest.mark.parametrize("model", [1, None, [1], "x", 2.5])
+    def test_from_dict_rejects_a_non_mapping(self, model):
+        with pytest.raises(ValueError, match="^model must be a JSON object$"):
+            FourPL.from_dict(model)
+
+    @pytest.mark.parametrize(
+        "field,value", [("ability", [1]), ("ability", {}), ("difficulty", None),
+                        ("slope", "steep"), ("upper", 10**400)],
+    )
+    def test_from_dict_names_the_field_float_rejects(self, field, value):
+        d = {"ability": 0.0, "difficulty": 0.0, field: value}
+        with pytest.raises(ValueError, match=f"^model field {field} must be a number, got "):
+            FourPL.from_dict(d)
+
+    def test_from_dict_accepts_numeric_strings_and_booleans(self):
+        model = FourPL.from_dict({"ability": "1.5", "difficulty": True, "lower": False})
+        assert model == FourPL(1.5, 1.0, lower=0.0)
+
 
 @pytest.mark.parametrize("field", ["ability", "difficulty", "slope"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
