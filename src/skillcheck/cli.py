@@ -71,12 +71,18 @@ def _build_target(args, parser: argparse.ArgumentParser) -> logistic.FourPL | di
 
 def _cmd_dist(args, parser) -> None:
     mech = _build_mechanic(args, parser)
-    if args.success:
-        p = dice.success_probability(mech)
-        print("num,den,float")
-        print(f"{p.numerator},{p.denominator},{float(p):.12g}")
-    else:
-        print(dice.dist_to_csv(dice.outcome_distribution(mech)), end="")
+    exact = dice.success_probability(mech) if args.success else dice.outcome_distribution(mech)
+    try:  # the whole text before any of it, so that an error leaves stdout empty
+        if args.success:
+            text = f"num,den,float\n{exact.numerator},{exact.denominator},{float(exact):.12g}\n"
+        else:
+            text = dice.dist_to_csv(exact)
+    except ValueError:  # formatting raises only at the interpreter's int-to-str digit limit
+        raise ValueError(
+            f"exact {args.mechanic} masses of {mech.dice_count}d{mech.die_sides} need more than "
+            f"{sys.get_int_max_str_digits()} decimal digits, past the limit for printing an integer"
+        ) from None
+    print(text, end="")
 
 
 def _cmd_check(args, parser) -> None:

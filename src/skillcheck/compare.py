@@ -14,10 +14,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Union
+from itertools import accumulate
+from typing import Callable, Iterable, Union
 
 from .dice import DiscreteDist, SumRollOver
-from .logistic import logistic_cdf, normal_cdf, uniform_cdf
+from .logistic import logistic_cdf, normal_cdf, sigmoid, uniform_cdf
 
 __all__ = [
     "LogisticParams",
@@ -117,11 +118,9 @@ def _jump_points(d: DiscreteDist, lo: float, hi: float) -> list[float]:
     return [p for p in pts if lo <= p <= hi]
 
 
-def _report(grid: tuple[float, ...], cdf_a: CdfLike, cdf_b: CdfLike) -> ComparisonReport:
-    """Evaluate both CDFs over ``grid``; the first largest gap wins."""
-    fa, fb = _as_cdf(cdf_a), _as_cdf(cdf_b)
-    va = tuple(fa(x) for x in grid)
-    vb = tuple(fb(x) for x in grid)
+def _report(grid: tuple[float, ...], va: Iterable[float], vb: Iterable[float]) -> ComparisonReport:
+    """Two CDFs' values over ``grid``; the first largest gap wins."""
+    va, vb = tuple(va), tuple(vb)
     sup = 0.0
     argmax = grid[0]
     for x, a, b in zip(grid, va, vb):
@@ -157,8 +156,8 @@ def sup_distance(
     grid = tuple(sorted(set(points)))
     if not grid:
         raise ValueError("empty evaluation grid")
-
-    return _report(grid, cdf_a, cdf_b)
+    fa, fb = _as_cdf(cdf_a), _as_cdf(cdf_b)
+    return _report(grid, map(fa, grid), map(fb, grid))
 
 
 def discrete_vs_logistic(d: DiscreteDist) -> ComparisonReport:
@@ -169,8 +168,13 @@ def discrete_vs_logistic(d: DiscreteDist) -> ComparisonReport:
     above it. cdf_a holds the step CDF, cdf_b the logistic.
     """
     lp = moment_match_logistic(d)
-    grid = tuple(k + 0.5 for k in range(d.support[0] - 1, d.support[-1] + 1))
-    return _report(grid, d, lp.cdf)
+    lo = d.support[0] - 1
+    grid = tuple(k + 0.5 for k in range(lo, d.support[-1] + 1))
+    counts = [0] * len(grid)  # ways of each k, so their running sums are the ways at most k
+    for k, c in zip(d.support, d.counts):
+        counts[k - lo] = c
+    steps = [ways / d.den for ways in accumulate(counts)]
+    return _report(grid, steps, [sigmoid((x - lp.mean) / lp.scale) for x in grid])
 
 
 def _default_grid(lp: LogisticParams) -> tuple[float, float, float]:
@@ -240,7 +244,7 @@ def _fig2() -> str:
 
 def _fig_grid_csv(name: str, other: Callable[[float], float]) -> str:
     grid = tuple(float(m) for m in range(-100, 101))
-    report = _report(grid, lambda t: logistic_cdf(t, 0.0, _FIG_SCALE), other)
+    report = _report(grid, [logistic_cdf(t, 0.0, _FIG_SCALE) for t in grid], map(other, grid))
     return report_csv(report, ("modifier", "logistic", name))
 
 

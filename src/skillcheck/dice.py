@@ -3,7 +3,10 @@
 Distributions hold integer counts of ways over one denominator and give
 exact ``fractions.Fraction`` probabilities, so results never overflow or
 round. A sum is one big-integer power of the packed die (Kronecker
-substitution). Convert to float only at the edges (reporting, plotting).
+substitution). A success probability builds no distribution: it counts the
+ways to stay at or below one limit in closed form, out of ``sides**dice``
+(inclusion-exclusion for sums, a binomial sum for counts, a power for
+maxima). Convert to float only at the edges (reporting, plotting).
 
 Comparison conventions, since published games disagree:
 
@@ -20,10 +23,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, islice
 from math import comb, gcd, lcm
 from operator import lt
-from typing import ClassVar, Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "DiscreteDist",
@@ -166,8 +169,8 @@ def convolve(a: DiscreteDist, b: DiscreteDist) -> DiscreteDist:
 
 # Bound on the closed-form count and max distributions. Each outcome costs a count as wide
 # as the denominator sides**dice plus a fixed share (its CSV row, its float), about 64 bits'
-# worth. At the bound a command takes up to about 1 s on one x86-64 core (binomial 3100d2
-# and 700d2**20, max 990d1000 and 1d120000); past it, binomial 4000d10 took 1.9 s.
+# worth. At the bound a `dist` takes up to about 1 s on one x86-64 core (binomial 700d2**20,
+# max 990d1000 and 1d120000); past it, binomial 4000d10 took 1.2 s to build.
 _MAX_WORK = 10**7
 
 
@@ -180,17 +183,48 @@ def _check_work(m: "Mechanic", outcomes: int) -> None:
         )
 
 
+def _count_ways(m: "Mechanic") -> Iterator[int]:
+    """Ways exactly k of the dice reach the threshold, C(n, k) * hit**k * miss**(n - k), for
+    k = n down to 0: each from the last, trading a hit for a miss (hit >= 1, so the division
+    is exact and never by zero)."""
+    n, hit, miss = m.dice, m.sides - m.threshold + 1, m.threshold - 1
+    ways = hit**n
+    for k in range(n, -1, -1):
+        yield ways
+        ways = ways * k * miss // ((n - k + 1) * hit)
+
+
 def _count_distribution(m: "Mechanic") -> DiscreteDist:
     _check_work(m, m.dice + 1)
-    n, hit, miss = m.dice, m.sides - m.threshold + 1, m.threshold - 1
-    return _counted(0, (comb(n, k) * hit**k * miss ** (n - k) for k in range(n + 1)), m.sides**n)
+    return _counted(0, reversed(list(_count_ways(m))), m.sides**m.dice)
 
 
-def _sum_distribution(m: "Mechanic") -> DiscreteDist:
+def _count_at_most(m: "Mechanic", s: int) -> int:
+    """All the ways but the tail of k = n, n - 1, ..., s + 1 successes."""
+    _check_work(m, m.dice + 1)
+    return m.sides**m.dice - sum(islice(_count_ways(m), max(m.dice - s, 0)))
+
+
+def _check_sum(m: "Mechanic") -> None:
     # One power of the packed die. Past the cap, on one x86-64 core: 1000d2 44 ms, 60d100 178 ms.
     if m.dice * m.sides > 1000:
         raise ValueError(f"exact sums need --dice * --sides <= 1000, got {m.dice} * {m.sides}")
+
+
+def _sum_distribution(m: "Mechanic") -> DiscreteDist:
+    _check_sum(m)
     return _kronecker(die(m.sides), m.dice, constant(0))
+
+
+def _sum_at_most(m: "Mechanic", s: int) -> int:
+    """Ways the dice sum to at most ``s``, by inclusion-exclusion (de Moivre): with faces
+    0..d-1 the ways to total at most t are sum_j (-1)^j C(n, j) C(t - j*d + n, n)."""
+    _check_sum(m)
+    n, d = m.dice, m.sides
+    t, top = s - n, n * (d - 1)
+    if t > top // 2:  # the sum is symmetric about top / 2; the other side has fewer terms
+        return d**n - _sum_at_most(m, n + top - t - 1)
+    return sum((-1) ** j * comb(n, j) * comb(t - j * d + n, n) for j in range(t // d + 1))
 
 
 def _max_distribution(m: "Mechanic") -> DiscreteDist:
@@ -200,17 +234,29 @@ def _max_distribution(m: "Mechanic") -> DiscreteDist:
     return _counted(1, (k**n - (k - 1) ** n for k in range(1, d + 1)), d**n)
 
 
-# Per reducer: the outcome of one attempt's faces, its exact distribution, and the
-# outcomes of many attempts from a numpy array of faces, one attempt per row.
+def _max_at_most(m: "Mechanic", s: int) -> int:
+    _check_work(m, m.sides)
+    return min(max(s, 0), m.sides) ** m.dice
+
+
+# Per reducer: the outcome of one attempt's faces, its exact distribution, the outcomes
+# of many attempts from a numpy array of faces (one attempt per row), and the ways of
+# ``sides**dice`` that the outcome is at most ``s``.
 _REDUCERS = {
-    "face": (lambda m, faces: faces[0], lambda m: die(m.sides), lambda m, f: f[:, 0]),
-    "sum": (lambda m, faces: sum(faces), _sum_distribution, lambda m, f: f.sum(1)),
+    "face": (
+        lambda m, faces: faces[0],
+        lambda m: die(m.sides),
+        lambda m, f: f[:, 0],
+        lambda m, s: min(max(s, 0), m.sides),
+    ),
+    "sum": (lambda m, faces: sum(faces), _sum_distribution, lambda m, f: f.sum(1), _sum_at_most),
     "count": (
         lambda m, faces: sum(1 for f in faces if f >= m.threshold),
         _count_distribution,
         lambda m, f: (f >= m.threshold).sum(1),
+        _count_at_most,
     ),
-    "max": (lambda m, faces: max(faces), _max_distribution, lambda m, f: f.max(1)),
+    "max": (lambda m, faces: max(faces), _max_distribution, lambda m, f: f.max(1), _max_at_most),
 }
 
 
@@ -248,7 +294,8 @@ class Mechanic:
     def __init_subclass__(cls, **kwargs: object) -> None:
         super().__init_subclass__(**kwargs)
         # Chosen once per family, so that a roll pays for no dispatch.
-        cls.outcome_of, cls._distribution, cls._outcomes_of = _REDUCERS[cls.reducer]  # type: ignore
+        row = _REDUCERS[cls.reducer]
+        cls.outcome_of, cls._distribution, cls._outcomes_of, cls._ways_at_most = row  # type: ignore
         cls.succeeds = _at_most if cls.bound == "target" else _at_least  # type: ignore
 
     def __post_init__(self) -> None:
@@ -388,13 +435,16 @@ def outcome_distribution(m: Mechanic) -> DiscreteDist:
 
 
 def success_probability(m: Mechanic) -> Fraction:
-    """Exact probability that the mechanic's success rule fires."""
+    """Exact probability that the mechanic's success rule fires.
+
+    A closed form that builds no distribution, but it refuses the same mechanics
+    as ``outcome_distribution``, with the same ``ValueError``.
+    """
     limit, at_most = m._limit, m.bound == "target"  # type: ignore[attr-defined]
-    if m.reducer == "face":  # k of the faces 1..sides are at most the limit, or below it
-        k = min(max(limit if at_most else limit - 1, 0), m.die_sides)
-        return Fraction(k if at_most else m.die_sides - k, m.die_sides)
-    d = m.outcome_distribution()
-    return d.cdf(limit) if at_most else d.tail_geq(limit)
+    # The count first: it checks the caps before any power as wide as the denominator.
+    ways = m._ways_at_most(limit if at_most else limit - 1)  # type: ignore[attr-defined]
+    den = m.die_sides**m.dice_count
+    return Fraction(ways if at_most else den - ways, den)
 
 
 def dist_to_csv(d: DiscreteDist) -> str:
@@ -402,8 +452,12 @@ def dist_to_csv(d: DiscreteDist) -> str:
 
     The float column is the decimal value rounded to 12 significant digits.
     """
+    tails: dict[int, str] = {}  # count to "num,den,float": counts repeat (a die, a sum's halves)
     lines = ["outcome,num,den,float"]
     for k, c in zip(d.support, d.counts):
-        g = gcd(c, d.den)  # the reduced mass is (c // g) / (d.den // g)
-        lines.append(f"{k},{c // g},{d.den // g},{c / d.den:.12g}")
+        tail = tails.get(c)
+        if tail is None:
+            g = gcd(c, d.den)  # the reduced mass is (c // g) / (d.den // g)
+            tail = tails[c] = f"{c // g},{d.den // g},{c / d.den:.12g}"
+        lines.append(f"{k},{tail}")
     return "\n".join(lines) + "\n"

@@ -128,13 +128,10 @@ def resolve_model(model: FourPL, rng: SplitMix64) -> CheckResult:
 def resolve_mechanic(mechanic: Mechanic, rng: SplitMix64) -> CheckResult:
     """Roll the mechanic's dice and apply its success rule."""
     _check_dice(mechanic.dice_count, mechanic.die_sides)
+    p = float(success_probability(mechanic))  # before the rolls: it refuses what is past the caps
     faces = [rng.roll_die(mechanic.die_sides) for _ in range(mechanic.dice_count)]
     outcome = mechanic.outcome_of(faces)
-    return CheckResult(
-        success=mechanic.succeeds(outcome),
-        probability_used=float(success_probability(mechanic)),
-        raw_roll=outcome,
-    )
+    return CheckResult(success=mechanic.succeeds(outcome), probability_used=p, raw_roll=outcome)
 
 
 def _model_flags(p: float, n: int, rng: SplitMix64) -> Iterator:

@@ -1,14 +1,17 @@
 """End-to-end subcommand behavior: output formats, determinism, exit codes."""
 
+import hashlib
 import io
 import json
+import shlex
+import sys
 from fractions import Fraction
 
 import pytest
 
 from skillcheck import cli
 from skillcheck.compare import figure_data
-from skillcheck.dice import BinomialPool, SumRollOver, success_probability
+from skillcheck.dice import BinomialPool, MaxPool, SumRollOver, success_probability
 from skillcheck.estimate import fit_rasch, read_outcome_csv
 from skillcheck.logistic import FourPL
 from skillcheck.resolve import SplitMix64, resolve_mechanic, resolve_model, simulate_count
@@ -49,6 +52,104 @@ class TestDist:
     def test_missing_flags_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "dist", "--mechanic", "roll-under", "--sides", "20")
         assert code == 2
+
+    # A max pool inside the count and max bound whose masses need more than 4300 digits.
+    BIG_POOL = ("--mechanic", "max", "--dice", "2000", "--sides", "300", "--difficulty", "300")
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
+    @pytest.mark.parametrize("extra", [(), ("--success",)])
+    def test_past_the_digit_limit_is_a_one_line_error(self, capsys, extra):
+        code, out, err = run_cli(capsys, "dist", *self.BIG_POOL, *extra)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: exact max masses of 2000d300 need more than {sys.get_int_max_str_digits()} "
+            "decimal digits, past the limit for printing an integer\n"
+        )
+
+    def test_check_and_aggregate_answer_past_the_digit_limit(self, capsys):
+        p = cli._fmt(float(success_probability(MaxPool(2000, 300, 300))))
+        code, out, _ = run_cli(capsys, "check", *self.BIG_POOL, "--seed", "1")
+        assert (code, out) == (0, f"success,probability,raw_roll\n1,{p},300\n")
+        code, out, _ = run_cli(capsys, "simulate", *self.BIG_POOL, "--seed", "1", "--n", "10", "--aggregate")
+        assert (code, out) == (0, f"n,successes,rate,exact_probability\n10,10,1,{p}\n")
+
+    # Far past the caps: refused at once, before any power as wide as sides**dice.
+    @pytest.mark.parametrize(
+        "pool,message",
+        [
+            (("--mechanic", "max", "--dice", "1000000000", "--sides", "1000", "--difficulty", "5"),
+             "exact max distributions need outcomes * (bits + 64) <= 10000000, "
+             "got 1000 * (10000000000 + 64) for 1000000000d1000"),
+            (("--mechanic", "sum", "--dice", "1000000000", "--sides", "6", "--difficulty", "5"),
+             "exact sums need --dice * --sides <= 1000, got 1000000000 * 6"),
+        ],
+        ids=["max", "sum"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [("dist", "--success"), ("check", "--seed", "1"),
+         ("simulate", "--seed", "1", "--n", "1", "--aggregate")],
+        ids=["dist-success", "check", "aggregate"],
+    )
+    def test_far_past_the_caps_is_refused_first(self, capsys, pool, message, command):
+        code, out, err = run_cli(capsys, command[0], *pool, *command[1:])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+# The batch commands of the benchmark's exact workload (seed 1) and the SHA-256 of their
+# stdout, taken before success probabilities became closed forms, dist_to_csv shared the
+# text of repeated masses and discrete_vs_logistic walked its grid in one pass.
+EXACT_BATCH = [
+    ("dist --mechanic sum --sides 10 --dice 50 --modifier -3 --difficulty 297",
+     "dd62623c635a11efd2c99eeac60e633fa49cfc26c29aa7d5ea59f09a45943da7"),
+    ("dist --mechanic sum --sides 12 --dice 24 --modifier -4 --difficulty 148 --success",
+     "7d878bed4e4c22bb6da74b0fb111a94e6b64cae0796c9cfdb1df15bd7fd3f2d7"),
+    ("compare --pair dice --summary --mechanic sum --sides 6 --dice 40 --modifier -4 --difficulty 163",
+     "68d41e389b12c7fa039c377f416703f84549c59cfd83c90f52ea41da9cd471bc"),
+    ("dist --mechanic pool --sides 8 --dice 30 --difficulty 153",
+     "6f04386c190ac93ba550e8ef7f819bc366188759090b59f696f6d35079986a22"),
+    ("dist --mechanic pool --sides 10 --dice 20 --difficulty 118 --success",
+     "2cced61d88728eeceb94fded8ca9e5cd0ea7173ab07221a96e60dc94ebee279f"),
+    ("compare --pair dice --summary --mechanic pool --sides 20 --dice 16 --difficulty 182",
+     "76680631b3c18d5bc920b51191d3bfac8b95ff29338bc3eb988dbd4023d9ef32"),
+    ("dist --mechanic binomial --sides 10 --dice 50 --threshold 6 --required 30",
+     "31ef3739d21692dbd9beab1bedaf25eacf984cf3398b0fac6f1e7b3e2cdea629"),
+    ("dist --mechanic binomial --sides 20 --dice 200 --threshold 11 --required 101 --success",
+     "8f2b1e0ae043b2cbb871c9faaca0a1c5a22846637af5815d0a1c0050dc37f43d"),
+    ("compare --pair dice --summary --mechanic binomial --sides 12 --dice 100 --threshold 7 --required 48",
+     "1dc465c6cef866f27066c4a3de22d156ef08101a9dc6af87cf27dc1931bb5320"),
+    ("dist --mechanic max --sides 100 --dice 50 --difficulty 71",
+     "1bb76fa4e14b21b2b4358d25c5d561aa7b864e72c79bdeab219d6cfc7f9b68f5"),
+    ("dist --mechanic max --sides 1000 --dice 100 --difficulty 755 --success",
+     "8db7d16fc1b7b888985c1a6b896181250924854c2329acd67748a52489cda013"),
+    ("compare --pair dice --summary --mechanic max --sides 100 --dice 10 --difficulty 70",
+     "a7a4bcecf970885114b3981974dadaf3d560e637ee53889bc79b214ef5217125"),
+    ("dist --mechanic roll-under --sides 1000 --target 504",
+     "198361d31723a6f1ac445193bdf7f5c47aa250ab9c86cc5bc1ff02eadc9e287d"),
+    ("dist --mechanic roll-under --sides 10000 --target 5021 --success",
+     "9c796106353b60100e57430b27f1ae52e98dce9229209c0411d407eca685830e"),
+    ("compare --pair dice --summary --mechanic roll-under --sides 1000 --target 518",
+     "00d719f75906f91dcc1dd9259dd65cd4ca01f3294e1dd1bdce82c39069d545e8"),
+    ("dist --mechanic roll-over --sides 1000 --modifier 47 --difficulty 480",
+     "198361d31723a6f1ac445193bdf7f5c47aa250ab9c86cc5bc1ff02eadc9e287d"),
+    ("dist --mechanic roll-over --sides 10000 --modifier 39 --difficulty 5028 --success",
+     "0c8165965e0b837a4fb65a291d891d93a6f6f58db4cfa4e1ffcf86fca2491292"),
+    ("compare --pair dice --summary --mechanic roll-over --sides 1000 --modifier -16 --difficulty 494",
+     "00d719f75906f91dcc1dd9259dd65cd4ca01f3294e1dd1bdce82c39069d545e8"),
+    ("dist --mechanic step --sides 1000 --difficulty 517",
+     "198361d31723a6f1ac445193bdf7f5c47aa250ab9c86cc5bc1ff02eadc9e287d"),
+    ("dist --mechanic step --sides 10000 --difficulty 4852 --success",
+     "6b6e5ee4a788136375a2616dccbac3a65fb508c2f8ada973999758831ce7d3e1"),
+    ("compare --pair dice --summary --mechanic step --sides 1000 --difficulty 500",
+     "00d719f75906f91dcc1dd9259dd65cd4ca01f3294e1dd1bdce82c39069d545e8"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", EXACT_BATCH, ids=[a for a, _ in EXACT_BATCH])
+def test_exact_batch_stdout_is_unchanged(capsys, argv, digest):
+    code, out, err = run_cli(capsys, *shlex.split(argv))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestCheck:

@@ -9,10 +9,13 @@ the logistic as the pool grows.
 
 import math
 import re
+from bisect import bisect_right
 from fractions import Fraction
 from functools import reduce
+from itertools import accumulate
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from skillcheck.compare import (
     ComparisonReport,
@@ -229,6 +232,40 @@ class TestDiscreteVsLogistic:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             discrete_vs_logistic(DiscreteDist((5,), (Fraction(1),)))
+
+
+def reference_report(d):
+    """discrete_vs_logistic before its one-pass walk: a bisect per grid point for the step
+    CDF and ``LogisticParams.cdf`` for the logistic; the first largest gap wins."""
+    lp = moment_match_logistic(d)
+    grid = tuple(k + 0.5 for k in range(d.support[0] - 1, d.support[-1] + 1))
+    cum = (0, *accumulate(d.counts))
+    steps = tuple(cum[bisect_right(d.support, x)] / d.den for x in grid)
+    curve = tuple(lp.cdf(x) for x in grid)
+    sup, argmax = 0.0, grid[0]
+    for x, a, b in zip(grid, steps, curve):
+        if abs(a - b) > sup:
+            sup, argmax = abs(a - b), x
+    return ComparisonReport(grid=grid, cdf_a=steps, cdf_b=curve, sup_distance=sup, argmax_point=argmax)
+
+
+@st.composite
+def gapped_distributions(draw):
+    """Two or more outcomes with gaps between them, some counts repeated."""
+    support = sorted(draw(st.sets(st.integers(-80, 80), min_size=2, max_size=12)))
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(support), max_size=len(support)))
+    return DiscreteDist(tuple(support), tuple(Fraction(w, sum(weights)) for w in weights))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(gapped_distributions())
+@example(DiscreteDist((0, 3, 10), (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))))
+@example(DiscreteDist((-40, 40), (Fraction(1, 3), Fraction(2, 3))))
+@example(THREE_D6)
+@example(die(1000))
+@example(outcome_distribution(SumRollOver(16, 20)))
+def test_discrete_vs_logistic_matches_the_bisect_report(d):
+    assert discrete_vs_logistic(d) == reference_report(d)
 
 
 def _parse_csv(text):

@@ -9,9 +9,10 @@ import dataclasses
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import comb, gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from skillcheck.dice import (
     BinomialPool,
@@ -515,3 +516,127 @@ def test_post_init_runs_once_per_built_distribution(monkeypatch):
     assert len({id(d) for d in seen}) == len(seen)  # no instance ran it twice
     for d in results:
         assert any(d is s for s in seen)
+
+
+# --- closed-form success probabilities -------------------------------------------
+# success_probability builds no distribution; it must still give the tail that the
+# distribution gives, and refuse what the distribution refuses, with the same text.
+
+
+@st.composite
+def closed_form_mechanics(draw):
+    """Every family, with limits from below the least outcome to past the greatest."""
+    n, s = draw(st.integers(1, 25)), draw(st.integers(2, 20))
+    modifier = draw(st.integers(-6, 6))
+
+    def near(lo, hi):
+        return draw(st.integers(lo - 4, hi + 4))
+
+    family = draw(st.sampled_from(list(ORACLE)))
+    if family is UniformRollUnder:
+        return family(s, near(1, s))
+    if family is UniformRollOver:
+        return family(s, modifier, near(1, s) + modifier)
+    if family is StepDie:
+        return family(s, near(1, s))
+    if family is SumRollOver:
+        return family(n, s, modifier, near(n, n * s) + modifier)
+    if family is GeneralPool:
+        return family(n, s, near(n, n * s))
+    if family is BinomialPool:
+        return family(n, s, draw(st.integers(1, s)), draw(st.integers(0, n)))
+    return family(n, s, near(1, s))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(closed_form_mechanics())
+@example(BinomialPool(dice=7, sides=6, threshold=6, required=0))
+@example(BinomialPool(dice=7, sides=6, threshold=1, required=7))
+@example(BinomialPool(dice=25, sides=20, threshold=20, required=25))
+@example(SumRollOver(dice=25, sides=20, modifier=-6, difficulty=-100))
+@example(SumRollOver(dice=25, sides=20, modifier=-6, difficulty=600))
+@example(SumRollOver(dice=4, sides=6, modifier=-3, difficulty=11))  # 14, the centre
+@example(GeneralPool(dice=5, sides=7, difficulty=21))  # 21 and 20 straddle the centre 20
+@example(GeneralPool(dice=5, sides=7, difficulty=20))
+@example(MaxPool(dice=3, sides=6, difficulty=0))
+@example(MaxPool(dice=3, sides=6, difficulty=7))
+def test_closed_form_is_the_tail_of_the_distribution(mech):
+    rule = ORACLE[type(mech)](mech)[2]
+    tail = sum((p for o, p in outcome_distribution(mech).items() if rule(o)), Fraction(0))
+    assert success_probability(mech) == tail
+
+
+@pytest.mark.parametrize(
+    "dice,sides,threshold,required",
+    [(1, 2, 1, 1), (6, 6, 1, 3), (6, 6, 6, 0), (6, 6, 6, 6), (40, 10, 7, 13), (3100, 2, 2, 1550)],
+)
+def test_count_tail_is_the_binomial_sum(dice, sides, threshold, required):
+    hit, miss = sides - threshold + 1, threshold - 1
+    ways = sum(comb(dice, k) * hit**k * miss ** (dice - k) for k in range(required, dice + 1))
+    assert success_probability(BinomialPool(dice, sides, threshold, required)) == Fraction(ways, sides**dice)
+
+
+# The texts the distributions raise past the caps; the closed forms must raise them too.
+@pytest.mark.parametrize(
+    "mech,message",
+    [
+        (SumRollOver(60, 100, 0, 3000), "exact sums need --dice * --sides <= 1000, got 60 * 100"),
+        (GeneralPool(1, 1001, -5), "exact sums need --dice * --sides <= 1000, got 1 * 1001"),
+        (SumRollOver(501, 2, 0, 10**6), "exact sums need --dice * --sides <= 1000, got 501 * 2"),
+        (BinomialPool(20000, 10, 6, 0), "exact count distributions need outcomes * (bits + 64) "
+         "<= 10000000, got 20001 * (80000 + 64) for 20000d10"),
+        (MaxPool(100000, 1000, 1001), "exact max distributions need outcomes * (bits + 64) "
+         "<= 10000000, got 1000 * (1000000 + 64) for 100000d1000"),
+        (MaxPool(1, 124000, -3), "exact max distributions need outcomes * (bits + 64) "
+         "<= 10000000, got 124000 * (17 + 64) for 1d124000"),
+        # So large that a power as wide as the denominator would run for minutes: the caps
+        # must refuse them before one is taken.
+        (SumRollOver(10**9, 6), "exact sums need --dice * --sides <= 1000, got 1000000000 * 6"),
+        (BinomialPool(10**9, 10, 6, 1), "exact count distributions need outcomes * (bits + 64) "
+         "<= 10000000, got 1000000001 * (4000000000 + 64) for 1000000000d10"),
+        (MaxPool(10**9, 1000, 5), "exact max distributions need outcomes * (bits + 64) "
+         "<= 10000000, got 1000 * (10000000000 + 64) for 1000000000d1000"),
+    ],
+)
+def test_closed_forms_refuse_past_the_caps_as_distributions_do(mech, message):
+    for fn in (outcome_distribution, success_probability):
+        with pytest.raises(ValueError) as raised:
+            fn(mech)
+        assert str(raised.value) == message
+
+
+# --- byte identity of dist_to_csv -------------------------------------------------
+
+
+def reference_csv(d):
+    """The row formatter before repeated counts shared their text: gcd and f-string per row."""
+    lines = ["outcome,num,den,float"]
+    for k, c in zip(d.support, d.counts):
+        g = gcd(c, d.den)
+        lines.append(f"{k},{c // g},{d.den // g},{c / d.den:.12g}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def repeated_count_distributions(draw):
+    """Gapped supports whose counts repeat, over small and huge denominators."""
+    support = sorted(draw(st.sets(st.integers(-60, 60), min_size=1, max_size=15)))
+    weights = draw(st.lists(st.sampled_from([1, 2, 3, 7, 12]), min_size=len(support), max_size=len(support)))
+    scale = draw(st.sampled_from([1, 3, 10**40 + 1]))
+    rest = draw(st.integers(0, 5))  # added to the last count, so that the scale need not cancel
+    total = sum(weights) * scale + rest
+    masses = [Fraction(w * scale, total) for w in weights]
+    masses[-1] += Fraction(rest, total)
+    return DiscreteDist(tuple(support), tuple(masses))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(repeated_count_distributions())
+@example(DiscreteDist((0, 3, 10), (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))))
+@example(DiscreteDist((-7, 0, 3, 10), (Fraction(1, 6), Fraction(1, 3), Fraction(1, 3), Fraction(1, 6))))
+@example(die(1000))
+@example(outcome_distribution(SumRollOver(7, 6)))
+@example(outcome_distribution(BinomialPool(9, 6, 4, 0)))
+@example(outcome_distribution(MaxPool(4, 9)))
+def test_csv_matches_the_per_row_formatter(d):
+    assert dist_to_csv(d) == reference_csv(d)
