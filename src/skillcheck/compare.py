@@ -12,7 +12,6 @@ and converted to float only when the matched parameters are produced.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterable, Union
@@ -104,7 +103,7 @@ def match_normal_to_logistic(lp: LogisticParams) -> tuple[float, float]:
 
 def _as_cdf(c: CdfLike) -> Callable[[float], float]:
     if isinstance(c, DiscreteDist):
-        return lambda x: c._cum[bisect_right(c.support, x)] / c.den  # type: ignore[attr-defined]
+        return lambda x: float(c.cdf(x))
     return c
 
 

@@ -80,16 +80,16 @@ class DiscreteDist:
             raise ValueError("support must be strictly increasing")
         if min(self.counts) <= 0:
             raise ValueError("every mass must be positive")
-        self.__dict__["_cum"] = (0, *accumulate(self.counts))  # [i]: ways below support[i]
-        if self._cum[-1] != self.den:  # type: ignore[attr-defined]
+        if sum(self.counts) != self.den:
             raise ValueError("masses must sum to exactly 1")
+
+    @cached_property
+    def _cum(self) -> tuple[int, ...]:  # [i]: the ways below support[i]
+        return (0, *accumulate(self.counts))
 
     @cached_property
     def mass(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(c, self.den) for c in self.counts)
-
-    def __hash__(self) -> int:
-        return hash((self.support, self.mass))
 
     def __repr__(self) -> str:
         return f"DiscreteDist(support={self.support!r}, mass={self.mass!r})"
@@ -107,18 +107,22 @@ class DiscreteDist:
 
     def cdf(self, x: float) -> Fraction:
         """P(X <= x), exact."""
-        return Fraction(self._cum[bisect_right(self.support, x)], self.den)  # type: ignore[attr-defined]
+        return Fraction(self._cum[bisect_right(self.support, x)], self.den)
 
     def tail_geq(self, threshold: float) -> Fraction:
         """P(X >= threshold), exact."""
-        below = self._cum[bisect_left(self.support, threshold)]  # type: ignore[attr-defined]
+        below = self._cum[bisect_left(self.support, threshold)]
         return Fraction(self.den - below, self.den)
 
     def mean(self) -> Fraction:
         return Fraction(sum(k * c for k, c in zip(self.support, self.counts)), self.den)
 
     def variance(self) -> Fraction:
-        s1, s2 = (sum(k**j * c for k, c in zip(self.support, self.counts)) for j in (1, 2))
+        s1 = s2 = 0
+        for k, c in zip(self.support, self.counts):
+            kc = k * c
+            s1 += kc
+            s2 += k * kc
         return Fraction(s2 * self.den - s1 * s1, self.den**2)
 
     def items(self) -> Iterable[tuple[int, Fraction]]:
@@ -167,7 +171,7 @@ def convolve(a: DiscreteDist, b: DiscreteDist) -> DiscreteDist:
     return _kronecker(a, 1, b)
 
 
-# Bound on the closed-form count and max distributions. Each outcome costs a count as wide
+# Bound on the one-die, count and max distributions. Each outcome costs a count as wide
 # as the denominator sides**dice plus a fixed share (its CSV row, its float), about 64 bits'
 # worth. At the bound a `dist` takes up to about 1 s on one x86-64 core (binomial 700d2**20,
 # max 990d1000 and 1d120000); past it, binomial 4000d10 took 1.2 s to build.
@@ -175,12 +179,17 @@ _MAX_WORK = 10**7
 
 
 def _check_work(m: "Mechanic", outcomes: int) -> None:
-    bits = m.dice * (m.sides - 1).bit_length()  # at least the bit length of sides**dice
+    bits = m.dice_count * (m.die_sides - 1).bit_length()  # at least the bit length of sides**dice
     if outcomes * (bits + 64) > _MAX_WORK:
         raise ValueError(
             f"exact {m.reducer} distributions need outcomes * (bits + 64) <= {_MAX_WORK}, "
-            f"got {outcomes} * ({bits} + 64) for {m.dice}d{m.sides}"
+            f"got {outcomes} * ({bits} + 64) for {m.dice_count}d{m.die_sides}"
         )
+
+
+def _face_distribution(m: "Mechanic") -> DiscreteDist:
+    _check_work(m, m.sides)
+    return die(m.sides)
 
 
 def _count_ways(m: "Mechanic") -> Iterator[int]:
@@ -245,7 +254,7 @@ def _max_at_most(m: "Mechanic", s: int) -> int:
 _REDUCERS = {
     "face": (
         lambda m, faces: faces[0],
-        lambda m: die(m.sides),
+        _face_distribution,
         lambda m, f: f[:, 0],
         lambda m, s: min(max(s, 0), m.sides),
     ),
@@ -258,14 +267,6 @@ _REDUCERS = {
     ),
     "max": (lambda m, faces: max(faces), _max_distribution, lambda m, f: f.max(1), _max_at_most),
 }
-
-
-def _at_most(m: "Mechanic", outcome: int) -> bool:
-    return outcome <= m._limit  # type: ignore[attr-defined]
-
-
-def _at_least(m: "Mechanic", outcome: int) -> bool:
-    return outcome >= m._limit  # type: ignore[attr-defined]
 
 
 class Mechanic:
@@ -282,21 +283,24 @@ class Mechanic:
     * ``reducer``: how the faces of one attempt become the outcome: the
       single ``"face"``, their ``"sum"``, the ``"count"`` of faces at or
       above ``threshold``, or their ``"max"``;
-    * ``bound``: the name of the field the outcome is held against. A
-      ``"target"`` succeeds on ``outcome <= target``; a ``"required"`` count
-      or a ``"difficulty"`` on ``outcome >= bound - modifier``, where a
-      family without a ``modifier`` field has modifier 0.
+    * ``bound``: the name of the field the outcome is held against, less the
+      ``modifier`` of a family that has one. Success is one cut, made once per
+      mechanic, ``(outcome <= _cut) == _at_most``: a ``"target"`` succeeds on
+      ``outcome <= target``, so it cuts there; a ``"required"`` count or a
+      ``"difficulty"`` succeeds on ``outcome >= bound``, so it cuts one below.
     """
 
     reducer: ClassVar[str]
     bound: ClassVar[str]
+    _at_most: ClassVar[bool]
+    _cut: int
 
     def __init_subclass__(cls, **kwargs: object) -> None:
         super().__init_subclass__(**kwargs)
         # Chosen once per family, so that a roll pays for no dispatch.
         row = _REDUCERS[cls.reducer]
         cls.outcome_of, cls._distribution, cls._outcomes_of, cls._ways_at_most = row  # type: ignore
-        cls.succeeds = _at_most if cls.bound == "target" else _at_least  # type: ignore
+        cls._at_most = cls.bound == "target"
 
     def __post_init__(self) -> None:
         if self.die_sides < 2:
@@ -304,7 +308,18 @@ class Mechanic:
         if self.dice_count < 1:
             raise ValueError(f"must roll at least 1 die, got {self.dice_count}")
         limit = getattr(self, self.bound) - getattr(self, "modifier", 0)
-        object.__setattr__(self, "_limit", limit)
+        object.__setattr__(self, "_cut", limit if self._at_most else limit - 1)
+
+    def succeeds(self, outcome: int) -> bool:
+        """Whether one attempt's outcome passes the check."""
+        return (outcome <= self._cut) == self._at_most
+
+    def _flags(self, faces):
+        """``succeeds`` of each row of a numpy int64 array of faces, one attempt per row."""
+        # Outcomes lie in 0..2**63 - 1, so clamping the cut to -1..2**63 - 1 keeps every
+        # comparison and fits the cut in int64, which numpy 1.x needs to compare at all.
+        cut = min(max(self._cut, -1), (1 << 63) - 1)
+        return (self._outcomes_of(faces) <= cut) == self._at_most  # type: ignore[attr-defined]
 
     @property
     def dice_count(self) -> int:
@@ -319,9 +334,9 @@ class Mechanic:
     def outcome_distribution(self) -> DiscreteDist:
         """Exact distribution of the outcome variable, before the success rule.
 
-        A sum of more than 1000 (``dice * sides``) raises ``ValueError``, as does a count or
-        max whose ``outcomes * (bits + 64)`` exceeds ``10**7``, where ``bits`` is ``dice``
-        times the bit length of ``sides - 1``.
+        A sum of more than 1000 (``dice * sides``) raises ``ValueError``, as does a one-die,
+        count or max distribution whose ``outcomes * (bits + 64)`` exceeds ``10**7``, where
+        ``bits`` is ``dice`` times the bit length of ``sides - 1``.
         """
         return self._distribution()  # type: ignore[attr-defined]
 
@@ -437,14 +452,15 @@ def outcome_distribution(m: Mechanic) -> DiscreteDist:
 def success_probability(m: Mechanic) -> Fraction:
     """Exact probability that the mechanic's success rule fires.
 
-    A closed form that builds no distribution, but it refuses the same mechanics
-    as ``outcome_distribution``, with the same ``ValueError``.
+    A closed form that builds no distribution. A sum, count or max refuses the same
+    mechanics as ``outcome_distribution``, with the same ``ValueError``; a one-die
+    family counts faces and answers for any number of sides, past the bound that
+    refuses its distribution.
     """
-    limit, at_most = m._limit, m.bound == "target"  # type: ignore[attr-defined]
     # The count first: it checks the caps before any power as wide as the denominator.
-    ways = m._ways_at_most(limit if at_most else limit - 1)  # type: ignore[attr-defined]
+    ways = m._ways_at_most(m._cut)  # type: ignore[attr-defined]
     den = m.die_sides**m.dice_count
-    return Fraction(ways if at_most else den - ways, den)
+    return Fraction(ways if m._at_most else den - ways, den)
 
 
 def dist_to_csv(d: DiscreteDist) -> str:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import IO, Mapping, Sequence, Union
 
 import numpy as np
@@ -390,6 +390,7 @@ def _fit(columns: _Columns, *, slope: SlopeSpec, ridge: float, max_iter: int, to
     )
 
 
+@dataclass(eq=False)
 class RaschEstimator:
     """Ability/difficulty estimator with a scikit-learn style interface.
 
@@ -398,25 +399,13 @@ class RaschEstimator:
     ``converged_``, ``extreme_``, ``connected_`` and the raw ``result_``.
     """
 
-    def __init__(
-        self,
-        slope: SlopeSpec = 1.0,
-        ridge: float = 0.01,
-        max_iter: int = 500,
-        tol: float = 1e-8,
-    ) -> None:
-        self.slope = slope
-        self.ridge = ridge
-        self.max_iter = max_iter
-        self.tol = tol
+    slope: SlopeSpec = 1.0
+    ridge: float = 0.01
+    max_iter: int = 500
+    tol: float = 1e-8
 
     def get_params(self, deep: bool = True) -> dict:
-        return {
-            "slope": self.slope,
-            "ridge": self.ridge,
-            "max_iter": self.max_iter,
-            "tol": self.tol,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def set_params(self, **params) -> "RaschEstimator":
         valid = self.get_params()
@@ -427,13 +416,7 @@ class RaschEstimator:
         return self
 
     def fit(self, records: Sequence[OutcomeRecord], y=None) -> "RaschEstimator":
-        result = fit_rasch(
-            records,
-            slope=self.slope,
-            ridge=self.ridge,
-            max_iter=self.max_iter,
-            tol=self.tol,
-        )
+        result = fit_rasch(records, **self.get_params())
         self.result_ = result
         self.abilities_ = result.abilities
         self.difficulties_ = result.difficulties

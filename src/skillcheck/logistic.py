@@ -87,12 +87,14 @@ def sigmoid(t: Logit) -> Probability:
 def rasch_ratio(a: float, x: float) -> Probability:
     """Success probability a / (a + x) for skill ``a`` against difficulty ``x``.
 
-    Both arguments live on the multiplicative scale and must be positive.
-    Scale invariant: rasch_ratio(k*a, k*x) == rasch_ratio(a, x), and the
-    value equals sigmoid(ln(a) - ln(x)).
+    Both arguments live on the multiplicative scale and must be positive and
+    finite. Scale invariant: rasch_ratio(k*a, k*x) == rasch_ratio(a, x), and
+    the value equals sigmoid(ln(a) - ln(x)).
     """
-    if not a > 0.0 or not x > 0.0:
-        raise ValueError(f"skill and difficulty must be positive, got {a}, {x}")
+    if not (0.0 < a < math.inf and 0.0 < x < math.inf):
+        raise ValueError(f"skill and difficulty must be positive and finite, got {a}, {x}")
+    if a + x == math.inf:  # halving both is exact here and keeps the ratio
+        a, x = a / 2.0, x / 2.0
     return a / (a + x)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
 from .dice import Mechanic, success_probability
-from .logistic import FourPL, Probability, sigmoid
+from .logistic import FourPL, Probability, rasch_ratio, sigmoid
 
 __all__ = [
     "SplitMix64",
@@ -145,9 +145,6 @@ def _mechanic_flags(m: Mechanic, n: int, rng: SplitMix64) -> Iterator:
 
     sides, dice = m.die_sides, m.dice_count
     limit = ((1 << 64) // sides) * sides  # roll_die's rejection bound; 2**64 rejects none
-    # Outcomes lie in 0..2**63 - 1, so clamping the limit to int64 keeps every comparison.
-    bound = min(max(m._limit, -_BOUND), _BOUND - 1)  # type: ignore[attr-defined]
-    at_most = m.bound == "target"
     faces = np.empty(0, np.int64)  # accepted faces of a trial not yet complete
     while n:
         # Draw no more than the trials left need, so the last block is used to its last draw.
@@ -157,10 +154,9 @@ def _mechanic_flags(m: Mechanic, n: int, rng: SplitMix64) -> Iterator:
         faces = np.concatenate((faces, (v % sides + 1).astype(np.int64)))
         trials = len(faces) // dice
         if trials:
-            outcomes = m._outcomes_of(faces[: trials * dice].reshape(trials, dice))  # type: ignore[attr-defined]
-            faces = faces[trials * dice :]
             n -= trials
-            yield outcomes <= bound if at_most else outcomes >= bound
+            yield m._flags(faces[: trials * dice].reshape(trials, dice))
+            faces = faces[trials * dice :]
 
 
 def _successes(target: Union[FourPL, Mechanic], n: int, rng: SplitMix64) -> Iterator:
@@ -187,7 +183,7 @@ def opposed(a: float, b: float) -> Probability:
     """Chance that multiplicative skill ``a`` beats ``b``: a / (a + b)."""
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):
         raise ValueError(f"opposed skills must be positive and finite, got {a}, {b}")
-    return a / (a + b)
+    return rasch_ratio(a, b)
 
 
 def opposed_logit(theta_a: float, theta_b: float) -> Probability:

@@ -554,6 +554,7 @@ class TestDomainEdges:
             (("evidence", "--factor", "1e200", "--factor", "1e200"), "odds,probability\ninf,1\n"),
             (("opposed", "--rating-a", "0", "--rating-b", "1000000"), "expected_a\n0\n"),
             (("opposed", "--rating-a", "1000000", "--rating-b", "0"), "expected_a\n1\n"),
+            (("opposed", "--skill-a", "1e308", "--skill-b", "1e308"), "probability\n0.5\n"),
         ],
     )
     def test_overflow_prints_the_limit(self, capsys, argv, expected):
@@ -606,6 +607,11 @@ class TestDomainEdges:
             (("simulate", "--mechanic", "binomial", "--dice", "4000", "--sides", "10",
               "--threshold", "6", "--required", "1", "--n", "3", "--seed", "1", "--aggregate"),
              "exact count distributions need"),
+            *(((*command, "--mechanic", *mechanic, "--sides", "124000"),
+               "exact face distributions need outcomes * (bits + 64) <= 10000000, "
+               "got 124000 * (17 + 64) for 1d124000")
+              for command in (("dist",), ("compare", "--pair", "dice"))
+              for mechanic in (("step",), ("roll-under", "--target", "5"), ("roll-over",))),
         ],
     )
     def test_out_of_range_input_is_a_one_line_error(self, capsys, argv, message):
@@ -620,6 +626,8 @@ class TestDomainEdges:
                                "--difficulty", "3000", "--n", "3", "--seed", "1")
         assert (code, out.count("\n")) == (0, 4)
         code, out, _ = run_cli(capsys, "dist", "--mechanic", "max", *big, "--success")
+        assert code == 0 and out.startswith("num,den,float\n")
+        code, out, _ = run_cli(capsys, "dist", "--mechanic", "step", "--sides", "124000", "--success")
         assert code == 0 and out.startswith("num,den,float\n")
 
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb, gcd
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -640,3 +641,72 @@ def repeated_count_distributions(draw):
 @example(outcome_distribution(MaxPool(4, 9)))
 def test_csv_matches_the_per_row_formatter(d):
     assert dist_to_csv(d) == reference_csv(d)
+
+
+# --- one success rule in three forms ------------------------------------------------
+# A mechanic's rule runs on one outcome (``succeeds``), on numpy rows of faces
+# (``_flags``, the batch sampler) and as a count of ways (``success_probability``).
+# Modifiers and bounds of +-2**70 put the cut far outside int64, where ``_flags``
+# clamps it.
+
+HUGE = st.sampled_from([2**70, -(2**70)])
+
+
+@st.composite
+def success_rule_mechanics(draw):
+    """Every family, small enough to list every roll, with limits inside the support,
+    just outside it, and 2**70 away."""
+    n, s = draw(st.integers(1, 3)), draw(st.integers(2, 5))
+
+    def limit(lo, hi):
+        return draw(st.one_of(st.integers(lo - 3, hi + 3), HUGE))
+
+    modifier = draw(st.one_of(st.integers(-3, 3), HUGE))
+    family = draw(st.sampled_from(list(ORACLE)))
+    if family is UniformRollUnder:
+        return family(s, limit(1, s))
+    if family is UniformRollOver:
+        return family(s, modifier, limit(1, s))
+    if family is StepDie:
+        return family(s, limit(1, s))
+    if family is SumRollOver:
+        return family(n, s, modifier, limit(n, n * s))
+    if family is GeneralPool:
+        return family(n, s, limit(n, n * s))
+    if family is BinomialPool:
+        return family(n, s, draw(st.integers(1, s)), draw(st.integers(0, n)))
+    return family(n, s, limit(1, s))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(success_rule_mechanics())
+@example(UniformRollUnder(sides=4, target=2**70))
+@example(UniformRollUnder(sides=4, target=-(2**70)))
+@example(UniformRollOver(sides=4, modifier=2**70, difficulty=3))
+@example(UniformRollOver(sides=4, modifier=-(2**70), difficulty=3))
+@example(SumRollOver(dice=3, sides=5, modifier=2**70, difficulty=2**70 + 9))  # cancels to 9
+@example(SumRollOver(dice=3, sides=5, modifier=-(2**70), difficulty=2))
+@example(MaxPool(dice=2, sides=5, difficulty=2**70))
+@example(StepDie(sides=5, difficulty=-(2**70)))
+def test_the_success_rule_agrees_in_all_three_forms(mech):
+    count, reduce_fn, rule = ORACLE[type(mech)](mech)
+    faces = list(product(range(1, mech.sides + 1), repeat=count))
+    wins = [mech.succeeds(mech.outcome_of(f)) for f in faces]
+    assert wins == [rule(reduce_fn(f)) for f in faces]
+    assert mech._flags(np.array(faces, dtype=np.int64)).tolist() == wins
+    assert success_probability(mech) == Fraction(sum(wins), len(faces))
+
+
+# --- moments ---------------------------------------------------------------------
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.one_of(distributions(), repeated_count_distributions()))
+@example(die(1000))
+@example(constant(-5))
+@example(outcome_distribution(SumRollOver(10, 100)))
+@example(outcome_distribution(MaxPool(40, 30)))
+def test_moments_are_the_fraction_sums(d):
+    mean = sum((k * p for k, p in zip(d.support, d.mass)), Fraction(0))
+    assert d.mean() == mean
+    assert d.variance() == sum(((k - mean) ** 2 * p for k, p in zip(d.support, d.mass)), Fraction(0))

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from skillcheck.logistic import (
     FourPL,
@@ -96,10 +96,14 @@ class TestRaschRatio:
         )
 
     @given(skills, skills)
+    @example(1.7e308, 1e306)  # a + x overflows
+    @example(1e308, 1e-3)
     def test_complement_symmetry(self, a, x):
         assert rasch_ratio(a, x) + rasch_ratio(x, a) == pytest.approx(1.0, abs=1e-12)
 
     @given(skills, skills)
+    @example(1.7e308, 1e306)
+    @example(1e-3, 1e308)
     def test_equals_sigmoid_of_log_ratio(self, a, x):
         assert rasch_ratio(a, x) == pytest.approx(
             sigmoid(math.log(a) - math.log(x)), abs=1e-12
@@ -110,6 +114,17 @@ class TestRaschRatio:
             rasch_ratio(0.0, 1.0)
         with pytest.raises(ValueError):
             rasch_ratio(1.0, -2.0)
+
+    @pytest.mark.parametrize(
+        "a,x", [(math.inf, 1.0), (1.0, math.inf), (math.inf, math.inf), (math.nan, 1.0), (1.0, math.nan)]
+    )
+    def test_rejects_non_finite(self, a, x):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            rasch_ratio(a, x)
+
+    def test_sum_past_the_float_range(self):
+        assert rasch_ratio(1e308, 1e308) == 0.5
+        assert rasch_ratio(1.5e308, 0.5e308) == 0.75
 
 
 fourpl_params = st.tuples(

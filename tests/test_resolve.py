@@ -267,6 +267,29 @@ class TestDomainBound:
         with pytest.raises(ValueError, match=r"dice \* sides must be below 2\*\*63"):
             simulate_count(mech, 0, SplitMix64(1))
 
+    # A cut 2**70 away from every outcome is clamped to int64 in the batch path.
+    @pytest.mark.parametrize(
+        "mech,always",
+        [
+            (UniformRollUnder(sides=6, target=2**70), True),
+            (UniformRollUnder(sides=6, target=-(2**70)), False),
+            (UniformRollOver(sides=6, modifier=2**70, difficulty=4), True),
+            (UniformRollOver(sides=6, modifier=-(2**70), difficulty=4), False),
+            (SumRollOver(dice=3, sides=6, modifier=-(2**70)), False),
+            (SumRollOver(dice=3, sides=6, difficulty=2**70), False),
+            (GeneralPool(dice=2, sides=6, difficulty=-(2**70)), True),
+            (StepDie(sides=8, difficulty=2**70), False),
+            (MaxPool(dice=3, sides=10, difficulty=-(2**70)), True),
+        ],
+        ids=repr,
+    )
+    def test_a_cut_past_int64_is_all_or_nothing(self, mech, always):
+        n = 9000 // mech.dice_count  # more than one block of draws
+        batch, scalar = SplitMix64(11), SplitMix64(11)
+        assert simulate_count(mech, n, batch) == (n if always else 0)
+        assert scalar_flags(mech, n, scalar) == [always] * n
+        assert batch._state == scalar._state
+
     def test_largest_sums_fit(self):
         mech = SumRollOver(dice=2, sides=2**62 - 1, difficulty=2**62)
         batch, scalar = SplitMix64(9), SplitMix64(9)
