@@ -12,6 +12,7 @@ and converted to float only when the matched parameters are produced.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterable, Union
@@ -79,13 +80,17 @@ class ComparisonReport:
 def moment_match_logistic(d: DiscreteDist) -> LogisticParams:
     """Logistic parameters with the same mean and variance as ``d``.
 
-    A single-point distribution has zero variance and no logistic match.
+    A single-point distribution has zero variance and no logistic match, and neither has
+    one whose variance underflows as a float (to zero or a subnormal).
     """
     if len(d.support) < 2:
         raise ValueError("cannot match a logistic to a single-point distribution")
-    mean = float(d.mean())
-    var = float(d.variance())
-    return LogisticParams(mean=mean, scale=math.sqrt(3.0 * var) / math.pi)
+    # Int true divisions round as float() of d.mean() and d.variance() do, without reducing.
+    s1, s2 = d._power_sums()
+    var = (s2 * d.den - s1 * s1) / (d.den * d.den)
+    if var < sys.float_info.min:
+        raise ValueError(f"cannot match a logistic: the variance underflows to {var!r} as a float")
+    return LogisticParams(mean=s1 / d.den, scale=math.sqrt(3.0 * var) / math.pi)
 
 
 def match_uniform_to_logistic(lp: LogisticParams) -> tuple[float, float]:

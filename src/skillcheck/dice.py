@@ -8,6 +8,11 @@ ways to stay at or below one limit in closed form, out of ``sides**dice``
 (inclusion-exclusion for sums, a binomial sum for counts, a power for
 maxima). Convert to float only at the edges (reporting, plotting).
 
+One work bound guards every exact computation on a mechanic but a one-die
+count of faces: ``outcomes * (bits + 64) <= 10**7`` and ``bits <= 2**18``,
+with ``bits`` the bit length of ``sides - 1`` times ``dice``. Past it,
+``ValueError`` is raised at once.
+
 Comparison conventions, since published games disagree:
 
 * roll-over style checks succeed on a meet-or-beat basis (``>=``),
@@ -118,12 +123,17 @@ class DiscreteDist:
         return Fraction(sum(k * c for k, c in zip(self.support, self.counts)), self.den)
 
     def variance(self) -> Fraction:
+        s1, s2 = self._power_sums()
+        return Fraction(s2 * self.den - s1 * s1, self.den**2)
+
+    def _power_sums(self) -> tuple[int, int]:
+        """The sums of k * count and k * k * count over the support, in one walk."""
         s1 = s2 = 0
         for k, c in zip(self.support, self.counts):
             kc = k * c
             s1 += kc
             s2 += k * kc
-        return Fraction(s2 * self.den - s1 * s1, self.den**2)
+        return s1, s2
 
     def items(self) -> Iterable[tuple[int, Fraction]]:
         return zip(self.support, self.mass)
@@ -171,25 +181,27 @@ def convolve(a: DiscreteDist, b: DiscreteDist) -> DiscreteDist:
     return _kronecker(a, 1, b)
 
 
-# Bound on the one-die, count and max distributions. Each outcome costs a count as wide
-# as the denominator sides**dice plus a fixed share (its CSV row, its float), about 64 bits'
-# worth. At the bound a `dist` takes up to about 1 s on one x86-64 core (binomial 700d2**20,
-# max 990d1000 and 1d120000); past it, binomial 4000d10 took 1.2 s to build.
+# The work bound. Each outcome costs a count as wide as the denominator sides**dice plus a
+# fixed share (its CSV row, its float) of about 64 bits; reducing a count and taking moments
+# are quadratic in its width, so the width is bounded too. At the bounds, on one x86-64 core:
+# a sum's `dist` takes 1.7-2.1 s (3129d2, 115d100), any other `dist` up to 0.6 s, and any
+# command at the width bound 0.4 s or less (max 262144d2). Without the width clause, max
+# 1500000d3 took 6 s (`dist --success`) to 43 s (`compare --pair dice`).
 _MAX_WORK = 10**7
+_MAX_BITS = 2**18
 
 
-def _check_work(m: "Mechanic", outcomes: int) -> None:
-    bits = m.dice_count * (m.die_sides - 1).bit_length()  # at least the bit length of sides**dice
+def _check_work(m: "Mechanic") -> None:
+    n, sides = m.dice_count, m.die_sides
+    outcomes = {"sum": n * (sides - 1) + 1, "count": n + 1}.get(m.reducer, sides)
+    bits = n * (sides - 1).bit_length()  # at least the bit length of sides**dice
     if outcomes * (bits + 64) > _MAX_WORK:
-        raise ValueError(
-            f"exact {m.reducer} distributions need outcomes * (bits + 64) <= {_MAX_WORK}, "
-            f"got {outcomes} * ({bits} + 64) for {m.dice_count}d{m.die_sides}"
-        )
-
-
-def _face_distribution(m: "Mechanic") -> DiscreteDist:
-    _check_work(m, m.sides)
-    return die(m.sides)
+        need = f"outcomes * (bits + 64) <= {_MAX_WORK}, got {outcomes} * ({bits} + 64)"
+    elif bits > _MAX_BITS:
+        need = f"bits <= {_MAX_BITS}, got {bits}"
+    else:
+        return
+    raise ValueError(f"exact {m.reducer} distributions need {need} for {n}d{sides}")
 
 
 def _count_ways(m: "Mechanic") -> Iterator[int]:
@@ -204,31 +216,21 @@ def _count_ways(m: "Mechanic") -> Iterator[int]:
 
 
 def _count_distribution(m: "Mechanic") -> DiscreteDist:
-    _check_work(m, m.dice + 1)
     return _counted(0, reversed(list(_count_ways(m))), m.sides**m.dice)
 
 
 def _count_at_most(m: "Mechanic", s: int) -> int:
     """All the ways but the tail of k = n, n - 1, ..., s + 1 successes."""
-    _check_work(m, m.dice + 1)
     return m.sides**m.dice - sum(islice(_count_ways(m), max(m.dice - s, 0)))
 
 
-def _check_sum(m: "Mechanic") -> None:
-    # One power of the packed die. Past the cap, on one x86-64 core: 1000d2 44 ms, 60d100 178 ms.
-    if m.dice * m.sides > 1000:
-        raise ValueError(f"exact sums need --dice * --sides <= 1000, got {m.dice} * {m.sides}")
-
-
 def _sum_distribution(m: "Mechanic") -> DiscreteDist:
-    _check_sum(m)
     return _kronecker(die(m.sides), m.dice, constant(0))
 
 
 def _sum_at_most(m: "Mechanic", s: int) -> int:
     """Ways the dice sum to at most ``s``, by inclusion-exclusion (de Moivre): with faces
     0..d-1 the ways to total at most t are sum_j (-1)^j C(n, j) C(t - j*d + n, n)."""
-    _check_sum(m)
     n, d = m.dice, m.sides
     t, top = s - n, n * (d - 1)
     if t > top // 2:  # the sum is symmetric about top / 2; the other side has fewer terms
@@ -237,14 +239,12 @@ def _sum_at_most(m: "Mechanic", s: int) -> int:
 
 
 def _max_distribution(m: "Mechanic") -> DiscreteDist:
-    _check_work(m, m.sides)
     # P(max = k) = (k^n - (k-1)^n) / d^n
     n, d = m.dice, m.sides
     return _counted(1, (k**n - (k - 1) ** n for k in range(1, d + 1)), d**n)
 
 
 def _max_at_most(m: "Mechanic", s: int) -> int:
-    _check_work(m, m.sides)
     return min(max(s, 0), m.sides) ** m.dice
 
 
@@ -254,7 +254,7 @@ def _max_at_most(m: "Mechanic", s: int) -> int:
 _REDUCERS = {
     "face": (
         lambda m, faces: faces[0],
-        _face_distribution,
+        lambda m: die(m.sides),
         lambda m, f: f[:, 0],
         lambda m, s: min(max(s, 0), m.sides),
     ),
@@ -334,10 +334,12 @@ class Mechanic:
     def outcome_distribution(self) -> DiscreteDist:
         """Exact distribution of the outcome variable, before the success rule.
 
-        A sum of more than 1000 (``dice * sides``) raises ``ValueError``, as does a one-die,
-        count or max distribution whose ``outcomes * (bits + 64)`` exceeds ``10**7``, where
-        ``bits`` is ``dice`` times the bit length of ``sides - 1``.
+        Raises ``ValueError`` past the work bound: ``outcomes * (bits + 64)`` above ``10**7``
+        or ``bits`` above ``2**18``, where ``bits`` is ``dice`` times the bit length of
+        ``sides - 1`` and the outcomes number ``dice * (sides - 1) + 1`` for a sum,
+        ``dice + 1`` for a count and ``sides`` otherwise.
         """
+        _check_work(self)
         return self._distribution()  # type: ignore[attr-defined]
 
 
@@ -396,13 +398,9 @@ class BinomialPool(Mechanic):
     def __post_init__(self) -> None:
         super().__post_init__()
         if not 1 <= self.threshold <= self.sides:
-            raise ValueError(
-                f"threshold must be within 1..{self.sides}, got {self.threshold}"
-            )
+            raise ValueError(f"threshold must be within 1..{self.sides}, got {self.threshold}")
         if not 0 <= self.required <= self.dice:
-            raise ValueError(
-                f"required successes must be within 0..{self.dice}, got {self.required}"
-            )
+            raise ValueError(f"required successes must be within 0..{self.dice}, got {self.required}")
 
 
 @dataclass(frozen=True)
@@ -453,11 +451,12 @@ def success_probability(m: Mechanic) -> Fraction:
     """Exact probability that the mechanic's success rule fires.
 
     A closed form that builds no distribution. A sum, count or max refuses the same
-    mechanics as ``outcome_distribution``, with the same ``ValueError``; a one-die
-    family counts faces and answers for any number of sides, past the bound that
-    refuses its distribution.
+    mechanics as ``outcome_distribution``, past the same work bound and with the same
+    ``ValueError``; a one-die family counts faces and answers for any number of sides,
+    past the bound that refuses its distribution.
     """
-    # The count first: it checks the caps before any power as wide as the denominator.
+    if m.reducer != "face":
+        _check_work(m)
     ways = m._ways_at_most(m._cut)  # type: ignore[attr-defined]
     den = m.die_sides**m.dice_count
     return Fraction(ways if m._at_most else den - ways, den)

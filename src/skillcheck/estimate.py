@@ -110,8 +110,8 @@ def _slope_for(task: str, slope: SlopeSpec) -> float:
         value = float(slope[task])
     else:
         value = float(slope)
-    if not value >= 0.0:
-        raise ValueError(f"slope must be nonnegative, got {value}")
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"slope must be nonnegative and finite, got {value}")
     return value
 
 
@@ -136,6 +136,8 @@ class _Kernel:
         slope: SlopeSpec,
         ridge: float,
     ) -> None:
+        if not 0.0 <= ridge < np.inf:
+            raise ValueError(f"ridge must be nonnegative and finite, got {ridge}")
         person, task, success = columns
         p_index = {p: i for i, p in enumerate(persons)}
         t_index = {t: i for i, t in enumerate(tasks)}
@@ -218,8 +220,6 @@ def _kernel_at(
     slope: SlopeSpec,
     ridge: float,
 ) -> tuple[_Kernel, np.ndarray]:
-    if ridge < 0.0:
-        raise ValueError(f"ridge must be nonnegative, got {ridge}")
     persons, tasks = sorted(abilities), sorted(difficulties)
     w = np.array([abilities[p] for p in persons] + [difficulties[t] for t in tasks], dtype=float)
     return _Kernel(_columns(records), persons, tasks, slope, ridge), w
@@ -306,8 +306,6 @@ def _fit(columns: _Columns, *, slope: SlopeSpec, ridge: float, max_iter: int, to
     """``fit_rasch`` on person, task and success columns."""
     if not columns[0]:
         raise ValueError("need at least one outcome record")
-    if ridge < 0.0:
-        raise ValueError(f"ridge must be nonnegative, got {ridge}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be positive, got {max_iter}")
     if not tol > 0.0:
@@ -459,9 +457,7 @@ def _read_columns(source: Union[str, IO[str]]) -> _Columns:
     except StopIteration:
         raise ValueError("empty input: expected header person,task,success") from None
     if [h.strip() for h in header] != ["person", "task", "success"]:
-        raise ValueError(
-            f"line 1: expected header person,task,success, got {','.join(header)}"
-        )
+        raise ValueError(f"line 1: expected header person,task,success, got {','.join(header)}")
     persons, tasks, successes = [], [], []
     for lineno, row in enumerate(reader, start=2):
         if not row:

@@ -73,7 +73,8 @@ class TestDist:
         code, out, _ = run_cli(capsys, "simulate", *self.BIG_POOL, "--seed", "1", "--n", "10", "--aggregate")
         assert (code, out) == (0, f"n,successes,rate,exact_probability\n10,10,1,{p}\n")
 
-    # Far past the caps: refused at once, before any power as wide as sides**dice.
+    # Past the bound: refused at once, before any power as wide as sides**dice. Without the
+    # width clause, max 1500000d3 ran for 6 s (dist --success) to 43 s (compare --summary).
     @pytest.mark.parametrize(
         "pool,message",
         [
@@ -81,15 +82,19 @@ class TestDist:
              "exact max distributions need outcomes * (bits + 64) <= 10000000, "
              "got 1000 * (10000000000 + 64) for 1000000000d1000"),
             (("--mechanic", "sum", "--dice", "1000000000", "--sides", "6", "--difficulty", "5"),
-             "exact sums need --dice * --sides <= 1000, got 1000000000 * 6"),
+             "exact sum distributions need outcomes * (bits + 64) <= 10000000, "
+             "got 5000000001 * (3000000000 + 64) for 1000000000d6"),
+            (("--mechanic", "max", "--dice", "1500000", "--sides", "3", "--difficulty", "3"),
+             "exact max distributions need bits <= 262144, got 3000000 for 1500000d3"),
         ],
-        ids=["max", "sum"],
+        ids=["max", "sum", "max-width"],
     )
     @pytest.mark.parametrize(
         "command",
         [("dist", "--success"), ("check", "--seed", "1"),
-         ("simulate", "--seed", "1", "--n", "1", "--aggregate")],
-        ids=["dist-success", "check", "aggregate"],
+         ("simulate", "--seed", "1", "--n", "1", "--aggregate"),
+         ("compare", "--pair", "dice", "--summary")],
+        ids=["dist-success", "check", "aggregate", "compare"],
     )
     def test_far_past_the_caps_is_refused_first(self, capsys, pool, message, command):
         code, out, err = run_cli(capsys, command[0], *pool, *command[1:])
@@ -548,6 +553,8 @@ class TestSimulate:
 
 
 class TestDomainEdges:
+    FIVE_RECORDS = "person,task,success\na,t1,1\na,t2,0\nb,t1,0\nb,t2,1\nc,t1,1\n"  # ``fit --input -``
+
     @pytest.mark.parametrize(
         "argv,expected",
         [
@@ -587,14 +594,29 @@ class TestDomainEdges:
              "mean 1e+300 and scale 1.0 give no finite grid"),
             (("compare", "--pair", "uniform", "--mean", "1e308", "--scale", "1e307", "--summary"),
              "scale 1e+307 gives no"),
-            (("dist", "--mechanic", "sum", "--dice", "60", "--sides", "100", "--success"),
-             "exact sums need --dice * --sides <= 1000, got 60 * 100"),
-            (("dist", "--mechanic", "pool", "--dice", "2", "--sides", "501"),
-             "exact sums need --dice * --sides <= 1000, got 2 * 501"),
-            (("compare", "--pair", "dice", "--mechanic", "sum", "--dice", "11", "--sides", "100"),
-             "exact sums need"),
-            (("check", "--mechanic", "sum", "--dice", "60", "--sides", "100", "--seed", "1"),
-             "exact sums need"),
+            # The first sums past the work bound (3129d2 and 115d100 are the last inside it).
+            (("dist", "--mechanic", "sum", "--dice", "3130", "--sides", "2", "--success"),
+             "exact sum distributions need outcomes * (bits + 64) <= 10000000, "
+             "got 3131 * (3130 + 64) for 3130d2"),
+            (("dist", "--mechanic", "pool", "--dice", "1", "--sides", "123457"),
+             "exact sum distributions need outcomes * (bits + 64) <= 10000000, "
+             "got 123457 * (17 + 64) for 1d123457"),
+            (("compare", "--pair", "dice", "--mechanic", "sum", "--dice", "116", "--sides", "100"),
+             "exact sum distributions need"),
+            (("check", "--mechanic", "sum", "--dice", "3130", "--sides", "2", "--seed", "1"),
+             "exact sum distributions need"),
+            (("simulate", "--mechanic", "max", "--dice", "131073", "--sides", "3", "--n", "1",
+              "--seed", "1", "--aggregate"),
+             "exact max distributions need bits <= 262144, got 262146 for 131073d3"),
+            # (2/3)**2000 underflows, and with it the float variance.
+            *((("compare", "--pair", "dice", *summary, "--mechanic", "max", "--dice", "2000",
+                "--sides", "3"), "cannot match a logistic: the variance underflows to 0.0 as a float")
+              for summary in ((), ("--summary",))),
+            *((("fit", "--input", "-", *flags), message) for flags, message in (
+                (("--slope", "inf"), "slope must be nonnegative and finite, got inf"),
+                (("--ridge", "nan"), "ridge must be nonnegative and finite, got nan"),
+                (("--ridge", "inf"), "ridge must be nonnegative and finite, got inf"),
+            )),
             (("dist", "--mechanic", "max", "--dice", "100000", "--sides", "1000", "--success"),
              "exact max distributions need outcomes * (bits + 64) <= 10000000, "
              "got 1000 * (1000000 + 64) for 100000d1000"),
@@ -614,18 +636,21 @@ class TestDomainEdges:
               for mechanic in (("step",), ("roll-under", "--target", "5"), ("roll-over",))),
         ],
     )
-    def test_out_of_range_input_is_a_one_line_error(self, capsys, argv, message):
+    def test_out_of_range_input_is_a_one_line_error(self, capsys, monkeypatch, argv, message):
+        monkeypatch.setattr("sys.stdin", io.StringIO(self.FIVE_RECORDS))
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {message}")
         assert err.count("\n") == 1
 
-    def test_exact_sum_cap_spares_sampling_and_closed_forms(self, capsys):
-        big = ("--dice", "60", "--sides", "100")
+    def test_work_bound_spares_sampling_and_one_die_closed_forms(self, capsys):
+        big = ("--dice", "3130", "--sides", "2")  # the first d2 sum past the bound
         code, out, _ = run_cli(capsys, "simulate", "--mechanic", "sum", *big,
-                               "--difficulty", "3000", "--n", "3", "--seed", "1")
+                               "--difficulty", "4695", "--n", "3", "--seed", "1")
         assert (code, out.count("\n")) == (0, 4)
-        code, out, _ = run_cli(capsys, "dist", "--mechanic", "max", *big, "--success")
+        # Past the old dice * sides <= 1000 cap of sums, inside the bound.
+        code, out, _ = run_cli(capsys, "dist", "--mechanic", "sum", "--dice", "60", "--sides", "100",
+                               "--difficulty", "3030", "--success")
         assert code == 0 and out.startswith("num,den,float\n")
         code, out, _ = run_cli(capsys, "dist", "--mechanic", "step", "--sides", "124000", "--success")
         assert code == 0 and out.startswith("num,den,float\n")

@@ -29,7 +29,7 @@ from skillcheck.compare import (
     sup_distance,
     uniform_vs_logistic,
 )
-from skillcheck.dice import DiscreteDist, SumRollOver, convolve, die, outcome_distribution
+from skillcheck.dice import DiscreteDist, MaxPool, SumRollOver, convolve, die, outcome_distribution
 from skillcheck.logistic import logistic_cdf, normal_cdf, uniform_cdf
 
 THREE_D6 = outcome_distribution(SumRollOver(dice=3, sides=6))
@@ -75,6 +75,15 @@ class TestMomentMatching:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             moment_match_logistic(DiscreteDist((3,), (Fraction(1),)))
+
+    def test_underflowing_variance_is_named(self):
+        # Var(max of n d3) is about (2/3)**n: a normal float at 1747 dice, subnormal at 1748,
+        # zero at 2000.
+        assert moment_match_logistic(outcome_distribution(MaxPool(1747, 3))).scale > 0.0
+        for dice, var in ((1748, "1.557683324512466e-308"), (2000, "0.0")):
+            with pytest.raises(ValueError) as raised:
+                moment_match_logistic(outcome_distribution(MaxPool(dice, 3)))
+            assert str(raised.value) == f"cannot match a logistic: the variance underflows to {var} as a float"
 
 
 class TestVarianceMatchedFamilies:
@@ -266,6 +275,25 @@ def gapped_distributions(draw):
 @example(outcome_distribution(SumRollOver(16, 20)))
 def test_discrete_vs_logistic_matches_the_bisect_report(d):
     assert discrete_vs_logistic(d) == reference_report(d)
+
+
+@st.composite
+def wide_distributions(draw):
+    """Few outcomes, some of them far apart, over denominators up to 10**60."""
+    support = sorted(draw(st.sets(st.integers(-(10**6), 10**6), min_size=2, max_size=8)))
+    weights = draw(st.lists(st.integers(1, 10**60), min_size=len(support), max_size=len(support)))
+    return DiscreteDist(tuple(support), tuple(Fraction(w, sum(weights)) for w in weights))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(wide_distributions(), gapped_distributions()))
+@example(THREE_D6)
+@example(die(1000))
+@example(outcome_distribution(MaxPool(1700, 3)))
+def test_matched_moments_are_the_floats_of_the_fractions(d):
+    lp = moment_match_logistic(d)
+    assert lp.mean == float(d.mean())
+    assert lp.scale == math.sqrt(3.0 * float(d.variance())) / math.pi
 
 
 def _parse_csv(text):

@@ -371,13 +371,58 @@ def test_family_contract(cls, names, values):
         setattr(m, names[-1], 0)
 
 
-def test_exact_sums_are_capped_but_closed_forms_are_not():
-    assert outcome_distribution(GeneralPool(1, 1000)).support[-1] == 1000
-    for m in (GeneralPool(1, 1001), SumRollOver(60, 100)):
-        with pytest.raises(ValueError, match=r"--dice \* --sides <= 1000"):
-            outcome_distribution(m)
-    assert len(outcome_distribution(MaxPool(60, 100)).support) == 100
-    assert len(outcome_distribution(BinomialPool(501, 2, 2, 0)).support) == 502
+# The work bound, outcomes * (bits + 64) <= 10**7 with bits = dice * (sides - 1).bit_length(),
+# and bits <= 2**18. A sum has dice * (sides - 1) + 1 outcomes: 3129d2 is 3130 * 3193 =
+# 9,994,090 and 3130d2 is 3131 * 3194 = 10,000,414; one die of 123456 sides is 123456 * 81 =
+# 9,999,936 and of 123457 sides 10,000,017.
+def test_sums_at_the_edge_of_the_work_bound():
+    edge = GeneralPool(1, 123456, 100000)  # the one distribution built at the bound here
+    assert outcome_distribution(edge) == die(123456)
+    assert success_probability(edge) == Fraction(23457, 123456)
+    # Faces 1 and 2: a total of 3129 + k has C(3129, k) ways.
+    tail = sum(comb(3129, k) for k in range(1565, 3130))
+    assert success_probability(SumRollOver(3129, 2, 0, 4694)) == Fraction(tail, 2**3129)
+    for m in (GeneralPool(1, 123457), SumRollOver(3130, 2, 0, 4695)):
+        for fn in (success_probability, outcome_distribution):
+            with pytest.raises(ValueError, match=r"^exact sum distributions need outcomes \* \(bits \+ 64\)"):
+                fn(m)
+
+
+# Where outcomes are few, the width clause binds: 131072 * (3 - 1).bit_length() and
+# 32 * (2**8192 - 1).bit_length() are 2**18 bits.
+@pytest.mark.parametrize(
+    "inside,p,outside",
+    [
+        (MaxPool(131072, 3, 3), Fraction(3**131072 - 2**131072, 3**131072), MaxPool(131073, 3, 3)),
+        (MaxPool(131072, 4, 4), Fraction(4**131072 - 3**131072, 4**131072), MaxPool(131072, 5, 4)),
+        (BinomialPool(32, 2**8192, 2**8191 + 1, 16),
+         Fraction(sum(comb(32, k) for k in range(16, 33)), 2**32),
+         BinomialPool(32, 2**8192 + 1, 2**8191 + 1, 16)),
+    ],
+    ids=["max-dice", "max-sides", "count-sides"],
+)
+def test_width_clause_edges(inside, p, outside):
+    assert success_probability(inside) == p
+    assert outcome_distribution(inside).tail_geq(getattr(inside, inside.bound)) == p
+    for fn in (success_probability, outcome_distribution):
+        with pytest.raises(ValueError, match=rf"^exact {outside.reducer} distributions need bits <= 262144, got"):
+            fn(outside)
+
+
+# Past the old dice * sides <= 1000 cap of sums, inside the work bound.
+@pytest.mark.parametrize("mech", [SumRollOver(60, 100, 0, 3030), GeneralPool(1, 1001, 500)])
+def test_sums_past_the_old_cap_match_the_integer_recurrence(mech):
+    n, s = mech.dice, mech.sides
+    ways = ways_of_sum(n, s)
+    assert outcome_distribution(mech).mass == tuple(Fraction(w, s**n) for w in ways)
+    assert success_probability(mech) == Fraction(sum(ways[mech.difficulty - n :]), s**n)
+
+
+def test_3000d2_success_is_the_binomial_tail():
+    # ways_of_sum(n, 2) is row n of Pascal's triangle; at n = 3000 it takes about 4 s, comb does not.
+    assert ways_of_sum(40, 2) == [comb(40, k) for k in range(41)]
+    tail = sum(comb(3000, k) for k in range(1520, 3001))
+    assert success_probability(SumRollOver(3000, 2, 0, 4520)) == Fraction(tail, 2**3000)
 
 
 # The count and max bound: outcomes * (bits + 64) <= 10**7, bits = dice * (sides - 1).bit_length().
@@ -397,8 +442,10 @@ def test_count_and_max_distributions_are_bounded(inside, p, outside):
 
 
 def test_count_and_max_bound_refuses_at_once():
-    # Without the bound these were still running after 20 s.
-    for m in (BinomialPool(20000, 10, 6, 1), MaxPool(100000, 1000), MaxPool(1, 10**18)):
+    # Without the bound these were still running after 20 s; without the width clause, the
+    # last took 6 s.
+    for m in (BinomialPool(20000, 10, 6, 1), MaxPool(100000, 1000), MaxPool(1, 10**18),
+              MaxPool(1500000, 3, 3)):
         with pytest.raises(ValueError, match=rf"^exact {m.reducer} distributions need .* for {m.dice}d{m.sides}$"):
             success_probability(m)
 
@@ -581,9 +628,13 @@ def test_count_tail_is_the_binomial_sum(dice, sides, threshold, required):
 @pytest.mark.parametrize(
     "mech,message",
     [
-        (SumRollOver(60, 100, 0, 3000), "exact sums need --dice * --sides <= 1000, got 60 * 100"),
-        (GeneralPool(1, 1001, -5), "exact sums need --dice * --sides <= 1000, got 1 * 1001"),
-        (SumRollOver(501, 2, 0, 10**6), "exact sums need --dice * --sides <= 1000, got 501 * 2"),
+        (SumRollOver(116, 100, 0, 5858), "exact sum distributions need outcomes * (bits + 64) "
+         "<= 10000000, got 11485 * (812 + 64) for 116d100"),
+        (GeneralPool(1, 123457, -5), "exact sum distributions need outcomes * (bits + 64) "
+         "<= 10000000, got 123457 * (17 + 64) for 1d123457"),
+        (SumRollOver(3130, 2, 0, 10**6), "exact sum distributions need outcomes * (bits + 64) "
+         "<= 10000000, got 3131 * (3130 + 64) for 3130d2"),
+        (MaxPool(131073, 3, 3), "exact max distributions need bits <= 262144, got 262146 for 131073d3"),
         (BinomialPool(20000, 10, 6, 0), "exact count distributions need outcomes * (bits + 64) "
          "<= 10000000, got 20001 * (80000 + 64) for 20000d10"),
         (MaxPool(100000, 1000, 1001), "exact max distributions need outcomes * (bits + 64) "
@@ -592,7 +643,8 @@ def test_count_tail_is_the_binomial_sum(dice, sides, threshold, required):
          "<= 10000000, got 124000 * (17 + 64) for 1d124000"),
         # So large that a power as wide as the denominator would run for minutes: the caps
         # must refuse them before one is taken.
-        (SumRollOver(10**9, 6), "exact sums need --dice * --sides <= 1000, got 1000000000 * 6"),
+        (SumRollOver(10**9, 6), "exact sum distributions need outcomes * (bits + 64) "
+         "<= 10000000, got 5000000001 * (3000000000 + 64) for 1000000000d6"),
         (BinomialPool(10**9, 10, 6, 1), "exact count distributions need outcomes * (bits + 64) "
          "<= 10000000, got 1000000001 * (4000000000 + 64) for 1000000000d10"),
         (MaxPool(10**9, 1000, 5), "exact max distributions need outcomes * (bits + 64) "

@@ -354,6 +354,28 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_rasch(records, tol=0.0)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -math.inf])
+    def test_non_finite_ridge_and_slope_are_refused(self, value):
+        records = make_records([("a", "t1", True), ("a", "t2", False), ("b", "t1", False)])
+        theta, beta = {"a": 0.5, "b": -0.5}, {"t1": 0.0, "t2": 1.0}
+        calls = [
+            lambda **kw: fit_rasch(records, **kw),
+            lambda **kw: log_likelihood(records, theta, beta, **kw),
+            lambda **kw: gradient(records, theta, beta, **kw),
+        ]
+        for call in calls:
+            for name in ("ridge", "slope"):
+                with pytest.raises(ValueError, match=rf"^{name} must be nonnegative and finite, got"):
+                    call(**{name: value})
+        with pytest.raises(ValueError, match="^slope must be nonnegative and finite"):
+            fit_rasch(records, slope={"t1": 1.0, "t2": value})
+        est = RaschEstimator().fit(records)
+        est.set_params(slope=value)
+        with pytest.raises(ValueError, match="^slope must be nonnegative and finite"):
+            est.predict_proba("a", "t1")
+        with pytest.raises(ValueError, match="^ridge must be nonnegative and finite"):
+            RaschEstimator(ridge=value).fit(records)
+
     def test_record_validation(self):
         with pytest.raises(ValueError):
             OutcomeRecord("", "t", True)
