@@ -147,23 +147,23 @@ def _cmd_evidence(args, parser) -> None:
     print(f"{_fmt(odds)},{_fmt(logistic.odds_to_prob(odds))}")
 
 
-# Continuous --pair name to its comparison against the logistic.
-_CURVES = {"normal": compare.normal_vs_logistic, "uniform": compare.uniform_vs_logistic}
-
-
 def _cmd_compare(args, parser) -> None:
     if args.pair == "dice":
         mech = _build_mechanic(args, parser)
         report = compare.discrete_vs_logistic(dice.outcome_distribution(mech))
+        result = (report.sup_distance, report.argmax_point) if args.summary else report
         names = ("x", "dice_cdf", "logistic_cdf")
     else:
-        report = _CURVES[args.pair](compare.LogisticParams(mean=args.mean, scale=args.scale))
+        lp = compare.LogisticParams(mean=args.mean, scale=args.scale)
+        # A summary reads only the grid points that can hold the largest gap.
+        result = compare._curve_pair(args.pair, lp, args.summary)
         names = ("x", args.pair, "logistic")
     if args.summary:
+        sup, argmax = result
         print("sup_distance,argmax")
-        print(f"{_fmt(report.sup_distance)},{_fmt(report.argmax_point)}")
+        print(f"{_fmt(sup)},{_fmt(argmax)}")
     else:
-        print(compare.report_csv(report, names), end="")
+        print(compare.report_csv(result, names), end="")
 
 
 def _cmd_figure(args, parser) -> None:

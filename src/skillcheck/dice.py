@@ -191,17 +191,25 @@ _MAX_WORK = 10**7
 _MAX_BITS = 2**18
 
 
+def _shown(k: int) -> str:
+    """``k`` in decimal, or as ``<b-bit integer>`` past the interpreter's limit for printing one."""
+    try:
+        return str(k)
+    except ValueError:
+        return f"<{k.bit_length()}-bit integer>"
+
+
 def _check_work(m: "Mechanic") -> None:
     n, sides = m.dice_count, m.die_sides
     outcomes = {"sum": n * (sides - 1) + 1, "count": n + 1}.get(m.reducer, sides)
     bits = n * (sides - 1).bit_length()  # at least the bit length of sides**dice
     if outcomes * (bits + 64) > _MAX_WORK:
-        need = f"outcomes * (bits + 64) <= {_MAX_WORK}, got {outcomes} * ({bits} + 64)"
+        need = f"outcomes * (bits + 64) <= {_MAX_WORK}, got {_shown(outcomes)} * ({_shown(bits)} + 64)"
     elif bits > _MAX_BITS:
-        need = f"bits <= {_MAX_BITS}, got {bits}"
+        need = f"bits <= {_MAX_BITS}, got {_shown(bits)}"
     else:
         return
-    raise ValueError(f"exact {m.reducer} distributions need {need} for {n}d{sides}")
+    raise ValueError(f"exact {m.reducer} distributions need {need} for {_shown(n)}d{_shown(sides)}")
 
 
 def _count_ways(m: "Mechanic") -> Iterator[int]:

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from skillcheck import cli
-from skillcheck.compare import figure_data
+from skillcheck.compare import LogisticParams, figure_data, normal_vs_logistic, uniform_vs_logistic
 from skillcheck.dice import BinomialPool, MaxPool, SumRollOver, success_probability
 from skillcheck.estimate import fit_rasch, read_outcome_csv
 from skillcheck.logistic import FourPL
@@ -312,6 +312,24 @@ class TestCompare:
     def test_dice_rows_are_fig5(self, capsys):
         argv = ("compare", "--pair", "dice", "--mechanic", "sum", "--dice", "3", "--sides", "6")
         assert run_cli(capsys, *argv) == run_cli(capsys, "figure", "fig5")
+
+    # The (mean, scale) of every curve command in this file, error cases included.
+    @pytest.mark.parametrize(
+        "mean,scale",
+        [("0", "1"), ("0", "2"), ("0", "inf"), ("0", "1e200"), ("0", "1e-200"), ("0", "1e-320"),
+         ("1e300", "1"), ("1e308", "1e307"), ("-7.25", "0.3"), ("1e15", "1")],
+    )
+    @pytest.mark.parametrize("pair", ["normal", "uniform"])
+    def test_curve_summary_prints_the_full_grid_maximum(self, capsys, pair, mean, scale):
+        got = run_cli(capsys, "compare", "--pair", pair, "--mean", mean, "--scale", scale, "--summary")
+        full = {"normal": normal_vs_logistic, "uniform": uniform_vs_logistic}[pair]
+        try:
+            report = full(LogisticParams(float(mean), float(scale)))
+        except ValueError as e:
+            assert got == (1, "", f"error: {e}\n")
+        else:
+            row = f"{cli._fmt(report.sup_distance)},{cli._fmt(report.argmax_point)}"
+            assert got == (0, f"sup_distance,argmax\n{row}\n", "")
 
 
 class TestFigure:

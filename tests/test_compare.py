@@ -29,6 +29,15 @@ from skillcheck.compare import (
     sup_distance,
     uniform_vs_logistic,
 )
+from skillcheck.compare import (
+    _CURVES,
+    _LOGISTIC_BEND,
+    _MAX_POINTS,
+    _Curve,
+    _curve_report,
+    _curve_summary,
+    _grid_count,
+)
 from skillcheck.dice import DiscreteDist, MaxPool, SumRollOver, convolve, die, outcome_distribution
 from skillcheck.logistic import logistic_cdf, normal_cdf, uniform_cdf
 
@@ -161,6 +170,21 @@ class TestSupDistance:
             sup_distance(f, f, 1.0, 1.0, 0.1)
         with pytest.raises(ValueError):
             sup_distance(f, f, 0.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "lo,hi,step",
+        [(-1e308, 1e308, 1.0), (0.0, 1e6, 1e-6), (0.0, 1.0, 5e-324), (0.0, 1e6, 1.0)],
+    )
+    def test_grids_past_the_point_cap_are_refused_at_once(self, lo, hi, step):
+        f = lambda t: 0.5
+        with pytest.raises(ValueError) as raised:
+            sup_distance(f, f, lo, hi, step)
+        assert str(raised.value) == f"a grid from {lo} to {hi} by {step} has more than 1000000 points"
+
+    def test_a_grid_at_the_point_cap_is_accepted(self):
+        assert _MAX_POINTS == 10**6
+        assert _grid_count(0.0, 999999.0, 1.0) == 10**6
+        assert _grid_count(0.0, 20000.0, 1.0) == 20001
 
     def test_normal_vs_logistic_value(self):
         # direct-evaluation oracle over the same grid
@@ -354,3 +378,117 @@ def test_report_is_plain_data():
     report = discrete_vs_logistic(THREE_D6)
     assert isinstance(report, ComparisonReport)
     assert len(report.grid) == len(report.cdf_a) == len(report.cdf_b)
+
+
+# --- the pruned curve summary -------------------------------------------------------
+
+
+def summary_and_report(lp, curve):
+    """What ``_curve_summary`` gives and what the full report gives, each as float hex
+    strings (so a sign of zero counts), or the message of the ``ValueError`` raised."""
+
+    def full(lp, curve):
+        report = _curve_report(lp, curve)
+        return report.sup_distance, report.argmax_point
+
+    def outcome(f):
+        try:
+            sup, argmax = f(lp, curve)
+        except ValueError as e:
+            return str(e)
+        return sup.hex(), argmax.hex()
+
+    return outcome(_curve_summary), outcome(full)
+
+
+def magnitudes(lo, hi):
+    """Floats of either sign from 10**lo to 10**hi, spread over the exponents."""
+    return st.builds(
+        lambda sign, m, e: sign * m * 10.0**e,
+        st.sampled_from((-1.0, 1.0)), st.floats(1.0, 10.0), st.integers(lo, hi),
+    )
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.sampled_from(sorted(_CURVES)),
+    st.one_of(st.floats(-20.0, 20.0), magnitudes(-300, 300)),
+    st.one_of(st.floats(0.2, 20.0), magnitudes(-300, 300).map(abs)),
+)
+@example("normal", 0.0, 1.0)
+@example("uniform", 0.0, 1.0)
+@example("normal", 1e300, 1e285)  # grid points closer than a unit in the last place
+@example("uniform", -1e300, 1e285)
+def test_curve_summary_is_the_full_grid_maximum(pair, mean, scale):
+    try:
+        lp = LogisticParams(mean, scale)
+    except ValueError:
+        return
+    summary, full = summary_and_report(lp, _CURVES[pair](lp))
+    assert summary == full
+
+
+def test_uniform_kinks_on_the_grid():
+    lp = LogisticParams(1e15, 1.0)
+    curve = _CURVES["uniform"](lp)
+    assert set(curve.kinks) <= set(_curve_report(lp, curve).grid)
+    summary, full = summary_and_report(lp, curve)
+    assert summary == full
+
+
+def normal_member(lp, center, sd):
+    bend = (lp.scale / sd) ** 2 / math.sqrt(2.0 * math.pi * math.e) + _LOGISTIC_BEND
+    return lp, _Curve(lambda t: normal_cdf(t, center, sd), bend)
+
+
+def uniform_member(lp, center, hw):
+    return lp, _Curve(lambda t: uniform_cdf(t, center, hw), _LOGISTIC_BEND, (center - hw, center + hw))
+
+
+def sine_member(lp, amp, w, tilt, phase):
+    """The logistic plus a tilted sine: |f''| reaches amp * w**2 / scale**2 at each peak."""
+
+    def bumpy(t):
+        z = (t - lp.mean) / lp.scale
+        return lp.cdf(t) + amp * math.sin(w * z + phase) + tilt * z
+
+    return lp, _Curve(bumpy, amp * w * w)
+
+
+@st.composite
+def family_curves(draw):
+    """A logistic and a curve with a declared bound on |f''|: any normal or uniform (not
+    only the matched one), or the logistic plus a tilted sine whose bound is tight."""
+    lp = LogisticParams(draw(st.floats(-20.0, 20.0)), draw(st.floats(0.2, 20.0)))
+    center = lp.mean + draw(st.floats(-3.0, 3.0)) * lp.scale
+    width = lp.scale * 10.0 ** draw(st.floats(-0.7, 0.7))
+    kind = draw(st.sampled_from(("normal", "uniform", "sine")))
+    if kind == "normal":
+        return normal_member(lp, center, width)
+    if kind == "uniform":
+        return uniform_member(lp, center, width)
+    amp, w = draw(st.floats(0.01, 0.2)), draw(st.floats(0.5, 8.0))
+    return sine_member(lp, amp, w, draw(st.floats(-1e-3, 1e-3)), draw(st.floats(0.0, 2.0 * math.pi)))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(family_curves())
+# The grid maximum lies next to a kink, between two points read first.
+@example(uniform_member(
+    LogisticParams(-5.600363037531263, 3.199430547186454), -4.316604585930955, 7.904204875384208))
+@example(uniform_member(
+    LogisticParams(-6.235377038240092, 1.0968356816407372), -7.2563673186827415, 2.3580056008131787))
+def test_summary_holds_for_any_curve_within_its_bound(case):
+    lp, curve = case
+    summary, full = summary_and_report(lp, curve)
+    assert summary == full
+
+
+@pytest.mark.parametrize("pair", sorted(_CURVES))
+def test_summary_reads_a_fraction_of_the_grid(pair):
+    lp = LogisticParams(0.0, 1.0)
+    curve = _CURVES[pair](lp)
+    read = []
+    _curve_summary(lp, curve._replace(cdf=lambda t: read.append(t) or curve.cdf(t)))
+    assert len(_curve_report(lp, curve).grid) == 1201
+    assert len(read) < 300

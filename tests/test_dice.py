@@ -6,6 +6,7 @@ library must match it fraction for fraction.
 """
 
 import dataclasses
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -652,6 +653,23 @@ def test_count_tail_is_the_binomial_sum(dice, sides, threshold, required):
     ],
 )
 def test_closed_forms_refuse_past_the_caps_as_distributions_do(mech, message):
+    for fn in (outcome_distribution, success_probability):
+        with pytest.raises(ValueError) as raised:
+            fn(mech)
+        assert str(raised.value) == message
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str digit limit")
+@pytest.mark.parametrize(
+    "mech,message",
+    [
+        (BinomialPool(1, 2**262145, 2, 1),
+         "exact count distributions need bits <= 262144, got 262145 for 1d<262146-bit integer>"),
+        (MaxPool(2, 10**5000, 2), "exact max distributions need outcomes * (bits + 64) <= 10000000, "
+         "got <16610-bit integer> * (33220 + 64) for 2d<16610-bit integer>"),
+    ],
+)
+def test_sides_past_the_digit_limit_are_named_by_bit_length(mech, message):
     for fn in (outcome_distribution, success_probability):
         with pytest.raises(ValueError) as raised:
             fn(mech)
