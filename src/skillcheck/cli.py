@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import re
 import sys
 from typing import Optional, Sequence
 
@@ -175,11 +176,7 @@ def _cmd_fit(args, parser) -> None:
 
     columns = estimate._read_columns(sys.stdin if args.input == "-" else args.input)
     result = estimate._fit(
-        columns,
-        slope=args.slope,
-        ridge=args.ridge,
-        max_iter=args.max_iter,
-        tol=args.tol,
+        columns, slope=args.slope, ridge=args.ridge, max_iter=args.max_iter, tol=args.tol
     )
     print(result.to_json(digits=12))
 
@@ -275,6 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aggregate", action="store_true", help="print one summary row")
     p.set_defaults(func=_cmd_simulate)
 
+    # -1e-5, -inf and -nan are values too; argparse's own (private) matcher takes -1 and -.5
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(r"-\.?\d|-(?i:inf|nan)")
     return parser
 
 

@@ -20,7 +20,7 @@ import csv
 import json
 import warnings
 from dataclasses import dataclass, field, fields
-from typing import IO, Mapping, Sequence, Union
+from typing import IO, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -212,6 +212,22 @@ class _Kernel:
             x_big = (-g[:k] - c @ x_small) / d[:k]
         return np.roll(np.r_[x_big, x_small], -shift)
 
+    def connected(self) -> bool:
+        """Whether the cells join every person and task into one component.
+
+        Each round hooks every cell's larger root under its smaller one, then
+        points every node at its root (Shiloach & Vishkin 1982), until both
+        ends of each cell agree. Node 0 is never hooked and every node has a
+        cell, so all roots are 0 exactly when the graph is connected.
+        """
+        a, b = self.cp, self.n_p + self.ct
+        root = np.arange(self.n_p + self.n_t)
+        while not np.array_equal(ra := root[a], rb := root[b]):
+            np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+            while not np.array_equal(jumped := root[root], root):
+                root = jumped
+        return not root.any()
+
 
 def _kernel_at(
     records: Sequence[OutcomeRecord],
@@ -260,24 +276,6 @@ def gradient(
     """
     kernel, w = _kernel_at(records, abilities, difficulties, slope, ridge)
     return kernel.gradient(w)[0]
-
-
-def _connected(cp: np.ndarray, ct: np.ndarray, n_persons: int, n_tasks: int) -> bool:
-    # Union-find over the bipartite person/task graph.
-    parent = list(range(n_persons + n_tasks))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for pi, ti in zip(cp.tolist(), ct.tolist()):
-        a, b = find(pi), find(n_persons + ti)
-        if a != b:
-            parent[a] = b
-    roots = {find(i) for i in range(n_persons + n_tasks)}
-    return len(roots) == 1
 
 
 def fit_rasch(
@@ -367,7 +365,7 @@ def _fit(columns: _Columns, *, slope: SlopeSpec, ridge: float, max_iter: int, to
             stacklevel=3,  # the caller of fit_rasch
         )
 
-    connected = _connected(kernel.cp, kernel.ct, n_p, len(tasks))
+    connected = kernel.connected()
     if not connected:
         warnings.warn(
             "person/task graph is disconnected; logits are only comparable "
@@ -452,6 +450,14 @@ def _read_columns(source: Union[str, IO[str]]) -> _Columns:
         with open(source, newline="", encoding="utf-8") as fh:
             return _read_columns(fh)
     reader = csv.reader(source)
+    try:
+        return _parse_rows(reader)
+    except csv.Error as exc:  # a NUL byte before Python 3.11, or a field past the size limit
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
+
+
+def _parse_rows(reader: Iterator[list[str]]) -> _Columns:
+    """The columns of a header row person,task,success and the rows after it."""
     try:
         header = next(reader)
     except StopIteration:

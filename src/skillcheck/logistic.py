@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Any
 
 __all__ = [
@@ -136,13 +136,7 @@ class FourPL:
         return self.lower + (self.upper - self.lower) * core
 
     def to_dict(self) -> dict[str, float]:
-        return {
-            "ability": self.ability,
-            "difficulty": self.difficulty,
-            "slope": self.slope,
-            "lower": self.lower,
-            "upper": self.upper,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "FourPL":
@@ -153,19 +147,13 @@ class FourPL:
         """
         if not isinstance(d, Mapping):
             raise ValueError("model must be a JSON object")
-        known = {"ability", "difficulty", "slope", "lower", "upper"}
-        unknown = set(d) - known
+        names = [f.name for f in fields(cls)]
+        unknown = set(d) - set(names)
         if unknown:
             raise ValueError(f"unknown model fields: {sorted(unknown)}")
         if "ability" not in d or "difficulty" not in d:
             raise ValueError("model requires ability and difficulty")
-        return cls(
-            ability=_number("ability", d["ability"]),
-            difficulty=_number("difficulty", d["difficulty"]),
-            slope=_number("slope", d.get("slope", 1.0)),
-            lower=_number("lower", d.get("lower", 0.0)),
-            upper=_number("upper", d.get("upper", 1.0)),
-        )
+        return cls(**{name: _number(name, d[name]) for name in names if name in d})
 
 
 def _number(field: str, value: Any) -> float:

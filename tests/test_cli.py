@@ -1,5 +1,6 @@
 """End-to-end subcommand behavior: output formats, determinism, exit codes."""
 
+import csv
 import hashlib
 import io
 import json
@@ -432,8 +433,10 @@ class TestFit:
             "person,task,success\n,t,1\n",
             "person,task,success\na,,1\n",
             "person,task,success\n",
+            "person,task,success\na,t,1\nb," + "t" * (csv.field_size_limit() + 1) + ",0\n",
         ],
-        ids=["header", "empty", "two_fields", "maybe", "no_person", "no_task", "no_records"],
+        ids=["header", "empty", "two_fields", "maybe", "no_person", "no_task", "no_records",
+             "oversize_field"],
     )
     def test_input_errors_match_the_library(self, capsys, tmp_path, monkeypatch, text):
         with pytest.raises(ValueError) as exc:
@@ -444,6 +447,15 @@ class TestFit:
         assert run_cli(capsys, "fit", "--input", str(path)) == expected
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         assert run_cli(capsys, "fit", "--input", "-") == expected
+
+    def test_nul_byte_is_an_identifier_or_a_one_line_error(self, capsys, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text("person,task,success\na\0b,t,1\nc,t,0\n")
+        code, out, err = run_cli(capsys, "fit", "--input", str(path))
+        if code == 1:  # the csv reader before Python 3.11
+            assert (out, err) == ("", "error: line 2: line contains NUL\n")
+        else:
+            assert (code, sorted(json.loads(out)["abilities"])) == (0, ["a\0b", "c"])
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "fit", "--input", "/nonexistent/x.csv")
@@ -660,6 +672,43 @@ class TestDomainEdges:
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {message}")
         assert err.count("\n") == 1
+
+    # Every float flag, after the arguments that make it count.
+    FLOAT_FLAGS = [
+        (("grade",), "--factor"),
+        (("evidence",), "--prior"),
+        (("evidence",), "--factor"),
+        (("evidence", "--factor", "2"), "--reliability"),
+        *((("opposed", f"--{kind}-{other}", "1"), f"--{kind}-{side}")
+          for kind in ("skill", "logit", "rating") for side, other in (("a", "b"), ("b", "a"))),
+        (("opposed", "--rating-a", "0", "--rating-b", "0", "--score", "1"), "--k"),
+        (("compare", "--pair", "normal", "--summary"), "--mean"),
+        (("compare", "--pair", "uniform", "--summary"), "--scale"),
+        *((("fit", "--input", "-"), flag) for flag in ("--ridge", "--slope", "--tol")),
+    ]
+
+    @pytest.mark.filterwarnings("ignore:unpenalized fit")  # fit --ridge -1e-400 is ridge 0
+    @pytest.mark.parametrize("before,flag", FLOAT_FLAGS)
+    @pytest.mark.parametrize("value", ["-1e-5", "-1E3", "-1e308", "-1e-400", "-inf", "-Infinity", "-nan"])
+    def test_negative_floats_in_every_spelling_are_values(
+        self, capsys, monkeypatch, before, flag, value
+    ):
+        results = []
+        for argv in ((*before, flag, value), (*before, f"{flag}={value}")):
+            monkeypatch.setattr("sys.stdin", io.StringIO(self.FIVE_RECORDS))
+            results.append(run_cli(capsys, *argv))
+        assert results[0] == results[1]
+        assert results[0][0] in (0, 1)
+
+    def test_negative_zero_score_is_a_choice(self, capsys):
+        rating = ("opposed", "--rating-a", "1500", "--rating-b", "1400")
+        assert run_cli(capsys, *rating, "--score", "-0e0") == run_cli(capsys, *rating, "--score", "0")
+
+    @pytest.mark.parametrize("value", ["-x", "-e5", "--1"])
+    def test_a_dash_word_is_still_a_missing_value(self, capsys, value):
+        code, out, err = run_cli(capsys, "compare", "--pair", "normal", "--mean", value)
+        assert (code, out) == (2, "")
+        assert "argument --mean: expected one argument" in err
 
     def test_work_bound_spares_sampling_and_one_die_closed_forms(self, capsys):
         big = ("--dice", "3130", "--sides", "2")  # the first d2 sum past the bound

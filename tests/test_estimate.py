@@ -5,12 +5,17 @@ arithmetic, and the analytic gradient is checked against central finite
 differences.
 """
 
+import csv
 import io
 import json
 import math
+import warnings
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathlib import Path
 
@@ -433,6 +438,103 @@ class TestNewtonStep:
         assert all(math.isfinite(v) for v in result.abilities.values())
 
 
+def bfs_connected(cells, n_persons, n_tasks):
+    """Oracle: breadth-first search from person 0 over an adjacency dict."""
+    adjacent = {("p", i): set() for i in range(n_persons)} | {("t", j): set() for j in range(n_tasks)}
+    for i, j in cells:
+        adjacent["p", i].add(("t", j))
+        adjacent["t", j].add(("p", i))
+    seen, queue = {("p", 0)}, deque([("p", 0)])
+    while queue:
+        for node in adjacent[queue.popleft()] - seen:
+            seen.add(node)
+            queue.append(node)
+    return len(seen) == len(adjacent)
+
+
+def kernel_of(cells, n_persons, n_tasks):
+    """The kernel of one record per (person index, task index) cell."""
+    persons = [f"p{i:06d}" for i in range(n_persons)]
+    tasks = [f"t{j:06d}" for j in range(n_tasks)]
+    columns = [persons[i] for i, _ in cells], [tasks[j] for _, j in cells], [True] * len(cells)
+    return _Kernel(columns, persons, tasks, 1.0, 0.0)
+
+
+@st.composite
+def graphs(draw):
+    """Bipartite graphs in which every person and task has a cell, as in a fit."""
+    n_persons, n_tasks = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    person, task = st.integers(0, n_persons - 1), st.integers(0, n_tasks - 1)
+    cells = [(i, draw(task)) for i in range(n_persons)] + [(draw(person), j) for j in range(n_tasks)]
+    cells += draw(st.lists(st.tuples(person, task), max_size=12))
+    return cells, n_persons, n_tasks
+
+
+def chain(n_nodes, seed):
+    """A path through n_nodes persons and tasks, alternating, in a shuffled order."""
+    rng = np.random.default_rng(seed)
+    p, t = rng.permutation(n_nodes // 2).tolist(), rng.permutation(n_nodes // 2).tolist()
+    cells = list(zip(p, t)) + list(zip(p[1:], t[:-1]))
+    return cells, n_nodes // 2, n_nodes // 2
+
+
+class TestConnected:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(graphs())
+    def test_matches_breadth_first_search(self, graph):
+        assert kernel_of(*graph).connected() is bfs_connected(*graph)
+
+    def test_shuffled_chain(self):
+        cells, n_persons, n_tasks = chain(10**5, seed=3)
+        assert kernel_of(cells, n_persons, n_tasks).connected() is True
+        # Cutting one link in the middle leaves two paths.
+        cut = cells[: len(cells) // 2] + cells[len(cells) // 2 + 1 :]
+        assert kernel_of(cut, n_persons, n_tasks).connected() is False
+
+    @pytest.mark.parametrize(
+        "cells,n_persons,n_tasks",
+        [
+            ([(i, 0) for i in range(1000)], 1000, 1),  # one task, many persons
+            ([(i, 999) for i in range(1000)] + [(0, j) for j in range(999)], 1000, 1000),
+            ([(0, j) for j in range(1000)], 1, 1000),  # one person with many tasks
+            ([(999, j) for j in range(1000)] + [(i, 0) for i in range(999)], 1000, 1000),
+        ],
+        ids=["task_star", "late_task_star", "person_star", "late_person_star"],
+    )
+    def test_stars(self, cells, n_persons, n_tasks):
+        assert bfs_connected(cells, n_persons, n_tasks)
+        assert kernel_of(cells, n_persons, n_tasks).connected() is True
+
+    def test_two_components(self):
+        block = [(i, j) for i in range(50) for j in range(20)]
+        cells = block + [(50 + i, 20 + j) for i, j in block]
+        assert kernel_of(cells, 100, 40).connected() is False
+        cells.append((0, 39))
+        assert kernel_of(cells, 100, 40).connected() is True
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [("a", "t1"), ("b", "t2")],
+            [("a", "t1"), ("b", "t1"), ("c", "t2"), ("d", "t3"), ("d", "t2")],
+            [("a", "t2"), ("b", "t1"), ("c", "t3"), ("c", "t1")],
+            [("a", "t2"), ("b", "t1"), ("c", "t3"), ("c", "t1"), ("b", "t2")],
+        ],
+    )
+    def test_fit_reports_it_and_warns_only_when_disconnected(self, pairs):
+        records = make_records([(p, t, s) for p, t in pairs for s in (True, False)])
+        persons, tasks = sorted({p for p, _ in pairs}), sorted({t for _, t in pairs})
+        cells = [(persons.index(p), tasks.index(t)) for p, t in pairs]
+        expected = bfs_connected(cells, len(persons), len(tasks))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert fit_rasch(records).connected is expected
+        warned = [] if expected else [
+            "person/task graph is disconnected; logits are only comparable within a component"
+        ]
+        assert [str(w.message) for w in caught] == warned
+
+
 class TestEstimatorApi:
     def test_params_roundtrip(self):
         est = RaschEstimator(slope=2.0, ridge=0.1, max_iter=100, tol=1e-6)
@@ -510,6 +612,12 @@ class TestOutcomeCsv:
     def test_empty_input(self):
         with pytest.raises(ValueError, match="empty"):
             read_outcome_csv(io.StringIO(""))
+
+    def test_field_past_the_csv_limit_names_its_line(self):
+        limit = csv.field_size_limit()
+        text = "person,task,success\na,t,1\nb," + "t" * (limit + 1) + ",0\n"
+        with pytest.raises(ValueError, match=rf"^line 3: field larger than field limit \({limit}\)$"):
+            read_outcome_csv(io.StringIO(text))
 
     def test_blank_lines_skipped(self):
         records = read_outcome_csv(io.StringIO("person,task,success\na,t,1\n\n"))

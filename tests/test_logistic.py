@@ -223,6 +223,17 @@ class TestFourPL:
         with pytest.raises(ValueError, match=f"^model field {field} must be a number, got "):
             FourPL.from_dict(d)
 
+    def test_from_dict_reports_fields_in_field_order(self):
+        # upper comes first in the mapping, but slope is the earlier field
+        d = {"upper": "high", "ability": 0.0, "difficulty": 0.0, "slope": "steep"}
+        with pytest.raises(ValueError, match="^model field slope must be a number, got 'steep'$"):
+            FourPL.from_dict(d)
+
+    def test_to_dict_lists_every_field_in_order(self):
+        assert list(FourPL(1.0, 0.5).to_dict().items()) == [
+            ("ability", 1.0), ("difficulty", 0.5), ("slope", 1.0), ("lower", 0.0), ("upper", 1.0)
+        ]
+
     def test_from_dict_accepts_numeric_strings_and_booleans(self):
         model = FourPL.from_dict({"ability": "1.5", "difficulty": True, "lower": False})
         assert model == FourPL(1.5, 1.0, lower=0.0)
