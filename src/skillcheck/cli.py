@@ -6,7 +6,8 @@ their numerator and denominator, so output stays both spreadsheet-friendly
 and exact. Sampling subcommands require an explicit --seed: identical
 arguments always produce identical bytes.
 
-Exit codes: 0 success, 1 domain error (message on stderr), 2 usage error.
+Exit codes: 0 success (a fit's cautions as ``warning:`` lines on stderr),
+1 domain error (message on stderr), 2 usage error.
 """
 
 from __future__ import annotations
@@ -178,6 +179,8 @@ def _cmd_fit(args, parser) -> None:
     result = estimate._fit(
         columns, slope=args.slope, ridge=args.ridge, max_iter=args.max_iter, tol=args.tol
     )
+    for text in estimate._warnings(result, args.ridge):
+        print(f"warning: {text}", file=sys.stderr)
     print(result.to_json(digits=12))
 
 

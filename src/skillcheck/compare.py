@@ -179,8 +179,6 @@ def sup_distance(
         if isinstance(c, DiscreteDist):
             points.extend(_jump_points(c, lo, hi))
     grid = tuple(sorted(set(points)))
-    if not grid:
-        raise ValueError("empty evaluation grid")
     fa, fb = _as_cdf(cdf_a), _as_cdf(cdf_b)
     return _report(grid, map(fa, grid), map(fb, grid))
 

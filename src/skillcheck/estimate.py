@@ -297,11 +297,23 @@ def fit_rasch(
     diverge; such data is flagged in ``extreme`` and, when unpenalized,
     also warned about.
     """
-    return _fit(_columns(records), slope=slope, ridge=ridge, max_iter=max_iter, tol=tol)
+    result = _fit(_columns(records), slope=slope, ridge=ridge, max_iter=max_iter, tol=tol)
+    for text in _warnings(result, ridge):
+        warnings.warn(text, RuntimeWarning, stacklevel=2)
+    return result
+
+
+def _warnings(result: FitResult, ridge: float) -> Iterator[str]:
+    """The fit's warnings, in the order it finds them; each caller presents them."""
+    if result.extreme and ridge == 0.0:
+        names = sorted(result.extreme)
+        yield f"unpenalized fit with all-success or all-failure identifiers diverges: {names}"
+    if not result.connected:
+        yield "person/task graph is disconnected; logits are only comparable within a component"
 
 
 def _fit(columns: _Columns, *, slope: SlopeSpec, ridge: float, max_iter: int, tol: float) -> FitResult:
-    """``fit_rasch`` on person, task and success columns."""
+    """``fit_rasch`` on person, task and success columns; it warns of nothing."""
     if not columns[0]:
         raise ValueError("need at least one outcome record")
     if max_iter < 1:
@@ -357,23 +369,7 @@ def _fit(columns: _Columns, *, slope: SlopeSpec, ridge: float, max_iter: int, to
     successes = kernel.sums(kernel.y)
     all_or_none = (successes == 0.0) | (successes == kernel.sums(kernel.n))
     extreme = frozenset(name for name, flag in zip(persons + tasks, all_or_none.tolist()) if flag)
-    if extreme and ridge == 0.0:
-        warnings.warn(
-            "unpenalized fit with all-success or all-failure identifiers "
-            f"diverges: {sorted(extreme)}",
-            RuntimeWarning,
-            stacklevel=3,  # the caller of fit_rasch
-        )
-
-    connected = kernel.connected()
-    if not connected:
-        warnings.warn(
-            "person/task graph is disconnected; logits are only comparable "
-            "within a component",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
+    connected = kernel.connected()  # its cell-sized arrays are freed before the dicts below exist
     return FitResult(
         abilities=dict(zip(persons, w[:n_p].tolist())),
         difficulties=dict(zip(tasks, w[n_p:].tolist())),
@@ -445,39 +441,38 @@ def read_outcome_csv(source: Union[str, IO[str]]) -> list[OutcomeRecord]:
 
 
 def _read_columns(source: Union[str, IO[str]]) -> _Columns:
-    """``read_outcome_csv`` as person, task and success columns."""
+    """``read_outcome_csv`` as person, task and success columns.
+
+    An error names the line its record ends on (``reader.line_num``): a
+    quoted newline inside a field puts it past the count of records.
+    """
     if isinstance(source, str):
         with open(source, newline="", encoding="utf-8") as fh:
             return _read_columns(fh)
     reader = csv.reader(source)
+    persons, tasks, successes = [], [], []
     try:
-        return _parse_rows(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("empty input: expected header person,task,success")
+        if [h.strip() for h in header] != ["person", "task", "success"]:
+            got = ",".join(header)
+            raise ValueError(f"line {reader.line_num}: expected header person,task,success, got {got}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != 3:
+                raise ValueError(f"line {reader.line_num}: expected 3 fields, got {len(row)}")
+            person, task, raw = row[0].strip(), row[1].strip(), row[2].strip()
+            if raw not in ("0", "1"):
+                raise ValueError(f"line {reader.line_num}: success must be 0 or 1, got {raw!r}")
+            if not person:
+                raise ValueError(f"line {reader.line_num}: person identifier must be non-empty")
+            if not task:
+                raise ValueError(f"line {reader.line_num}: task identifier must be non-empty")
+            persons.append(person)
+            tasks.append(task)
+            successes.append(raw == "1")
     except csv.Error as exc:  # a NUL byte before Python 3.11, or a field past the size limit
         raise ValueError(f"line {reader.line_num}: {exc}") from None
-
-
-def _parse_rows(reader: Iterator[list[str]]) -> _Columns:
-    """The columns of a header row person,task,success and the rows after it."""
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("empty input: expected header person,task,success") from None
-    if [h.strip() for h in header] != ["person", "task", "success"]:
-        raise ValueError(f"line 1: expected header person,task,success, got {','.join(header)}")
-    persons, tasks, successes = [], [], []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ValueError(f"line {lineno}: expected 3 fields, got {len(row)}")
-        person, task, raw = row[0].strip(), row[1].strip(), row[2].strip()
-        if raw not in ("0", "1"):
-            raise ValueError(f"line {lineno}: success must be 0 or 1, got {raw!r}")
-        if not person:
-            raise ValueError(f"line {lineno}: person identifier must be non-empty")
-        if not task:
-            raise ValueError(f"line {lineno}: task identifier must be non-empty")
-        persons.append(person)
-        tasks.append(task)
-        successes.append(raw == "1")
     return persons, tasks, successes

@@ -418,6 +418,37 @@ class TestFit:
         assert code == 1
         assert "line 3" in err
 
+    DISCONNECTED = "person/task graph is disconnected; logits are only comparable within a component"
+    # Flags, log, the warnings it gives in order, and the sha256 of its stdout as it was
+    # when these warnings were Python warnings.
+    WARNED = {
+        "disconnected": (
+            (), "person,task,success\na,t1,1\na,t1,0\nb,t2,1\nb,t2,0\n", [DISCONNECTED],
+            "1074cc9dc4b68b7fc6e78f336d89ff16ffdd768e4d6c6fe98cb7d25f84dfaa29",
+        ),
+        "all_success": (
+            ("--ridge", "0"), "person,task,success\na,t1,1\nb,t2,1\n",
+            ["unpenalized fit with all-success or all-failure identifiers diverges: "
+             "['a', 'b', 't1', 't2']", DISCONNECTED],
+            "5fd21b2bdbf0f18344277dc1194281b74d863096931309c41acd7f4d8fe23794",
+        ),
+    }
+
+    @pytest.mark.parametrize("log", WARNED)
+    @pytest.mark.parametrize("source", ["path", "stdin"])
+    def test_warnings_are_one_warning_line_each_on_every_call(
+        self, capsys, tmp_path, monkeypatch, log, source
+    ):
+        flags, text, warned, digest = self.WARNED[log]
+        path = tmp_path / "log.csv"
+        path.write_text(text)
+        expected = (0, digest, "".join(f"warning: {w}\n" for w in warned))
+        for _ in range(2):  # Python would show a warning from one place only the first time
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            argv = ("fit", "--input", str(path) if source == "path" else "-", *flags)
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == expected
+
     def test_stdin_matches_path(self, capsys, tmp_path, monkeypatch):
         path = _twelve_by_six_log(tmp_path)
         monkeypatch.setattr("sys.stdin", io.StringIO(path.read_text()))
@@ -434,9 +465,10 @@ class TestFit:
             "person,task,success\na,,1\n",
             "person,task,success\n",
             "person,task,success\na,t,1\nb," + "t" * (csv.field_size_limit() + 1) + ",0\n",
+            'person,task,success\n"a\nb",t,1\nc,t,maybe\n',  # line 4
         ],
         ids=["header", "empty", "two_fields", "maybe", "no_person", "no_task", "no_records",
-             "oversize_field"],
+             "oversize_field", "quoted_newline"],
     )
     def test_input_errors_match_the_library(self, capsys, tmp_path, monkeypatch, text):
         with pytest.raises(ValueError) as exc:
@@ -687,7 +719,6 @@ class TestDomainEdges:
         *((("fit", "--input", "-"), flag) for flag in ("--ridge", "--slope", "--tol")),
     ]
 
-    @pytest.mark.filterwarnings("ignore:unpenalized fit")  # fit --ridge -1e-400 is ridge 0
     @pytest.mark.parametrize("before,flag", FLOAT_FLAGS)
     @pytest.mark.parametrize("value", ["-1e-5", "-1E3", "-1e308", "-1e-400", "-inf", "-Infinity", "-nan"])
     def test_negative_floats_in_every_spelling_are_values(

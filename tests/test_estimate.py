@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from pathlib import Path
 
+from skillcheck import estimate
 from skillcheck.estimate import (
     FitResult,
     OutcomeRecord,
@@ -278,6 +279,22 @@ class TestFit:
         with pytest.warns(RuntimeWarning, match="disconnected"):
             result = fit_rasch(records)
         assert not result.connected
+
+    def test_warnings_name_the_caller_of_fit_rasch(self):
+        records = make_records([("a", "t1", True), ("b", "t2", True)])
+        for fit, filename in (
+            (lambda: fit_rasch(records, ridge=0.0), __file__),
+            (lambda: RaschEstimator(ridge=0.0).fit(records), estimate.__file__),
+        ):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                fit()
+            assert [(w.category, w.filename) for w in caught] == [(RuntimeWarning, filename)] * 2
+            assert [str(w.message) for w in caught] == [
+                "unpenalized fit with all-success or all-failure identifiers diverges: "
+                "['a', 'b', 't1', 't2']",
+                "person/task graph is disconnected; logits are only comparable within a component",
+            ]
 
     def test_reported_likelihood_is_unpenalized(self):
         records, _, _ = synthetic(5, 4, seed=7)
@@ -618,6 +635,33 @@ class TestOutcomeCsv:
         text = "person,task,success\na,t,1\nb," + "t" * (limit + 1) + ",0\n"
         with pytest.raises(ValueError, match=rf"^line 3: field larger than field limit \({limit}\)$"):
             read_outcome_csv(io.StringIO(text))
+
+    @settings(max_examples=200, derandomize=True)
+    @given(st.data())
+    def test_an_error_names_the_line_its_record_ends_on(self, data):
+        # Identifiers hold quoted newlines, so records and lines are counted apart.
+        ids = st.text(alphabet='ab \n,"', min_size=1).filter(str.strip)
+        bit = st.sampled_from(["0", "1", " 1"])
+        good = st.one_of(st.tuples(ids, ids, bit), st.just(()))  # () is a blank line
+        bad = st.one_of(
+            st.tuples(ids, ids),
+            st.tuples(ids, ids, bit, ids),
+            st.tuples(ids, ids, st.sampled_from(["maybe", "ye\ns", "2"])),
+            st.tuples(st.sampled_from(["", " ", "\n", " \n "]), ids, bit),
+            st.tuples(ids, st.sampled_from(["", "\n"]), bit),
+        )
+        head, tail = io.StringIO(), io.StringIO()
+        csv.writer(head, lineterminator="\n").writerows(
+            [("person", "task", "success"), *data.draw(st.lists(good, max_size=4)), data.draw(bad)]
+        )
+        csv.writer(tail, lineterminator="\n").writerows(data.draw(st.lists(good, max_size=2)))
+        line = head.getvalue().count("\n")  # the bad record's last line
+        with pytest.raises(ValueError, match=rf"^line {line}: "):
+            read_outcome_csv(io.StringIO(head.getvalue() + tail.getvalue()))
+
+    def test_header_error_names_the_line_it_ends_on(self):
+        with pytest.raises(ValueError, match="^line 2: expected header"):
+            read_outcome_csv(io.StringIO('"per\nson",task,success\na,t,1\n'))
 
     def test_blank_lines_skipped(self):
         records = read_outcome_csv(io.StringIO("person,task,success\na,t,1\n\n"))
