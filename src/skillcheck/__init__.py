@@ -5,7 +5,8 @@ parameter logistic task-resolution models, odds-scale evidence
 combination, CDF comparison tooling, seeded sampling with Elo updates,
 and maximum-likelihood recovery of skill logits from outcome logs.
 
-Each public name is imported from its home module on first access
+``_EXPORTS`` is the one list of public names: each submodule's ``__all__``
+reads its row. Each name is imported from its home module on first access
 (PEP 562), so numpy loads only when a fitting name is first used.
 """
 
@@ -13,7 +14,8 @@ import importlib
 
 __version__ = "0.1.0"
 
-# Home module of each public name.
+# Public names by home module; each submodule's ``__all__`` is its row (compare and
+# evidence add module-only names). A new public name is written here and nowhere else.
 _EXPORTS = {
     "compare": (
         "ComparisonReport", "LogisticParams", "discrete_vs_logistic", "figure_data",

@@ -17,23 +17,11 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Iterable, NamedTuple, Union
 
+from . import _EXPORTS
 from .dice import DiscreteDist, SumRollOver
 from .logistic import logistic_cdf, normal_cdf, sigmoid, uniform_cdf
 
-__all__ = [
-    "LogisticParams",
-    "ComparisonReport",
-    "moment_match_logistic",
-    "match_uniform_to_logistic",
-    "match_normal_to_logistic",
-    "sup_distance",
-    "discrete_vs_logistic",
-    "normal_vs_logistic",
-    "uniform_vs_logistic",
-    "report_csv",
-    "figure_data",
-    "FIGURE_IDS",
-]
+__all__ = [*_EXPORTS["compare"], "report_csv", "FIGURE_IDS"]
 
 CdfLike = Union[Callable[[float], float], DiscreteDist]
 

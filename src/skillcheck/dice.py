@@ -33,23 +33,9 @@ from math import comb, gcd, lcm
 from operator import lt
 from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
 
-__all__ = [
-    "DiscreteDist",
-    "Mechanic",
-    "UniformRollUnder",
-    "UniformRollOver",
-    "SumRollOver",
-    "BinomialPool",
-    "GeneralPool",
-    "StepDie",
-    "MaxPool",
-    "die",
-    "constant",
-    "convolve",
-    "outcome_distribution",
-    "success_probability",
-    "dist_to_csv",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["dice"])
 
 
 @dataclass(frozen=True, init=False, repr=False)

@@ -24,17 +24,10 @@ from typing import IO, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
+from . import _EXPORTS
 from .logistic import sigmoid
 
-__all__ = [
-    "OutcomeRecord",
-    "FitResult",
-    "log_likelihood",
-    "gradient",
-    "fit_rasch",
-    "RaschEstimator",
-    "read_outcome_csv",
-]
+__all__ = list(_EXPORTS["estimate"])
 
 SlopeSpec = Union[float, Mapping[str, float]]
 _Columns = tuple[Sequence[str], Sequence[str], Sequence[bool]]  # person, task, success

@@ -18,17 +18,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
+from . import _EXPORTS
 from .logistic import Odds
 
-__all__ = [
-    "update",
-    "update_reliable",
-    "weight_of_evidence",
-    "jeffreys_grade",
-    "EvidenceGrade",
-    "GRADE_BOUNDARIES",
-    "GRADE_LABELS",
-]
+__all__ = [*_EXPORTS["evidence"], "GRADE_BOUNDARIES", "GRADE_LABELS"]
 
 # Grade bands for the strength of a likelihood ratio. Exact boundary values
 # land in the higher grade, making the grading a total function.

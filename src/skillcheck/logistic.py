@@ -19,20 +19,9 @@ from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields
 from typing import Any
 
-__all__ = [
-    "Probability",
-    "Odds",
-    "Logit",
-    "prob_to_odds",
-    "odds_to_prob",
-    "logit",
-    "sigmoid",
-    "rasch_ratio",
-    "FourPL",
-    "logistic_cdf",
-    "normal_cdf",
-    "uniform_cdf",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["logistic"])
 
 # Scale aliases. Invariants are enforced by the functions below rather than
 # by wrapper classes: Probability in [0, 1]; Odds >= 0 with +inf allowed;

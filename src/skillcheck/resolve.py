@@ -13,21 +13,11 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
+from . import _EXPORTS
 from .dice import Mechanic, success_probability
 from .logistic import FourPL, Probability, rasch_ratio, sigmoid
 
-__all__ = [
-    "SplitMix64",
-    "CheckResult",
-    "resolve_model",
-    "resolve_mechanic",
-    "simulate_count",
-    "opposed",
-    "opposed_logit",
-    "Rating",
-    "elo_expected",
-    "elo_update",
-]
+__all__ = list(_EXPORTS["resolve"])
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -43,6 +33,11 @@ def _check_dice(dice: int, sides: int) -> None:
         raise ValueError(f"die must have at least 1 side, got {sides}")
     if dice * sides >= _BOUND:
         raise ValueError(f"dice * sides must be below 2**63, got {dice} * {sides}")
+
+
+def _limit(sides: int) -> int:
+    """``roll_die``'s rejection bound: draws at or above it are redrawn; 2**64 rejects none."""
+    return ((1 << 64) // sides) * sides
 
 
 @functools.cache
@@ -98,7 +93,7 @@ class SplitMix64:
         """Uniform face in 1..sides, bias free; ``sides`` must be below 2**63."""
         if not 0 < sides < _BOUND:
             _check_dice(1, sides)
-        limit = ((1 << 64) // sides) * sides
+        limit = _limit(sides)
         while True:
             v = self.next_uint64()
             if v < limit:
@@ -144,19 +139,21 @@ def _mechanic_flags(m: Mechanic, n: int, rng: SplitMix64) -> Iterator:
     import numpy as np
 
     sides, dice = m.die_sides, m.dice_count
-    limit = ((1 << 64) // sides) * sides  # roll_die's rejection bound; 2**64 rejects none
-    faces = np.empty(0, np.int64)  # accepted faces of a trial not yet complete
+    limit = _limit(sides)
+    pending, have = [], 0  # accepted faces of unfinished trials, joined once one completes
     while n:
         # Draw no more than the trials left need, so the last block is used to its last draw.
-        v = rng._block(min(_BLOCK, n * dice - len(faces)))
+        v = rng._block(min(_BLOCK, n * dice - have))
         if limit <= _MASK64:
             v = v[v < limit]
-        faces = np.concatenate((faces, (v % sides + 1).astype(np.int64)))
-        trials = len(faces) // dice
+        pending.append((v % sides + 1).astype(np.int64))
+        have += len(v)
+        trials = have // dice
         if trials:
+            faces = np.concatenate(pending)
             n -= trials
             yield m._flags(faces[: trials * dice].reshape(trials, dice))
-            faces = faces[trials * dice :]
+            pending, have = [faces[trials * dice :]], have - trials * dice
 
 
 def _successes(target: Union[FourPL, Mechanic], n: int, rng: SplitMix64) -> Iterator:

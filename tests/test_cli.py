@@ -449,6 +449,33 @@ class TestFit:
             code, out, err = run_cli(capsys, *argv)
             assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == expected
 
+    # Tiny logs that reach the solver's rare paths at ridge 0 and slope 3, with the
+    # identifiers their one warning names and the sha256 of their stdout.
+    SOLVER_PATHS = {
+        "step_halved": (
+            "p1,t1,0 p0,t2,0 p0,t1,0 p0,t2,1 p1,t1,0", "['p1', 't1']",
+            "2f1d6fc3e61e3e96d06e80f5776c936d70a100bc6ace29454d75ba9596bfc094",
+        ),
+        "line_search_fails": (
+            "p1,t1,0 p0,t0,0 p1,t1,0 p1,t0,0 p0,t1,1 p1,t1,0 p1,t0,0", "['p1', 't0']",
+            "276c9a7be4b53eeaf06bc756bdbbfedeea3919ba816dfc65b617c16f8972b18d",
+        ),
+        "newton_not_finite": (
+            "p4,t1,1 p4,t1,1 p0,t0,1 p0,t1,1 p3,t0,0 p3,t1,0 p4,t1,1 p3,t1,0",
+            "['p0', 'p3', 'p4']",
+            "7f3327ba5feaf13122a841543b93224149fcc334d962886a0a129f2f4ddecf56",
+        ),
+    }
+
+    @pytest.mark.parametrize("log", SOLVER_PATHS)
+    def test_rare_solver_paths(self, capsys, tmp_path, log):
+        rows, extreme, digest = self.SOLVER_PATHS[log]
+        path = tmp_path / "log.csv"
+        path.write_text("person,task,success\n" + "\n".join(rows.split()) + "\n")
+        code, out, err = run_cli(capsys, "fit", "--input", str(path), "--ridge", "0", "--slope", "3")
+        warning = f"warning: unpenalized fit with all-success or all-failure identifiers diverges: {extreme}\n"
+        assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, digest, warning)
+
     def test_stdin_matches_path(self, capsys, tmp_path, monkeypatch):
         path = _twelve_by_six_log(tmp_path)
         monkeypatch.setattr("sys.stdin", io.StringIO(path.read_text()))
@@ -767,6 +794,18 @@ class TestTopLevel:
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
         assert "subcommand" in out or "usage" in out
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            ("dist --sides 6", "--mechanic is required"),
+            ("check --mechanic sum --seed 1", "--sides is required"),
+            ("opposed --skill-a 1", "both --skill-a and --skill-b are required"),
+        ],
+    )
+    def test_a_missing_flag_is_named_on_the_last_stderr_line(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, out, err.splitlines()[-1]) == (2, "", f"skillcheck: error: {message}")
 
 
 class TestParserReuse:

@@ -299,6 +299,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             DiscreteDist((1, 2), (Fraction(0), Fraction(1)))
 
+    def test_dist_support_and_mass_same_length(self):
+        with pytest.raises(ValueError, match="support and mass must have the same length"):
+            DiscreteDist((1, 2), (Fraction(1),))
+
+    def test_dist_needs_an_outcome(self):
+        with pytest.raises(ValueError, match="distribution must have at least one outcome"):
+            DiscreteDist((), ())
+
 
 def test_binomial_sure_successes_collapse_support():
     # threshold 1 makes every die succeed, so only the all-successes count

@@ -358,6 +358,36 @@ class TestFit:
             foc[r.task] -= resid
         assert max(foc.values()) - min(foc.values()) <= 2 * tol + 1e-8
 
+    # Tiny logs fitted at ridge 0 and slope 3, one per rare path of the solver loop:
+    # (rows, iterations, converged, the extreme identifiers its warning names).
+    SOLVER_PATHS = {
+        # a full step raises the objective too little, so the line search halves it
+        "step_halved": ("p1,t1,0 p0,t2,0 p0,t1,0 p0,t2,1 p1,t1,0", 13, True, ["p1", "t1"]),
+        # no step down to 1e-12 is accepted: the loop stops unconverged
+        "line_search_fails": (
+            "p1,t1,0 p0,t0,0 p1,t1,0 p1,t0,0 p0,t1,1 p1,t1,0 p1,t0,0", 4, False, ["p1", "t0"]
+        ),
+        # Newton's direction is not finite, so the gradient is followed instead
+        "newton_not_finite": (
+            "p4,t1,1 p4,t1,1 p0,t0,1 p0,t1,1 p3,t0,0 p3,t1,0 p4,t1,1 p3,t1,0",
+            500, False, ["p0", "p3", "p4"],
+        ),
+    }
+
+    @pytest.mark.parametrize("log", SOLVER_PATHS)
+    def test_rare_solver_paths(self, log):
+        rows, iterations, converged, extreme = self.SOLVER_PATHS[log]
+        records = make_records((p, t, s == "1") for p, t, s in (r.split(",") for r in rows.split()))
+        message = f"unpenalized fit with all-success or all-failure identifiers diverges: {extreme}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = fit_rasch(records, ridge=0.0, slope=3.0)
+        assert [str(w.message) for w in caught] == [message]
+        assert (result.iterations, result.converged) == (iterations, converged)
+        trace = result.objective_trace
+        assert len(trace) == iterations + 1
+        assert all(b >= a for a, b in zip(trace, trace[1:]))
+
     def test_ids_that_differ_by_a_trailing_nul_stay_apart(self):
         records = make_records([("a", "t", True), ("a\0", "t", False), ("a", "t\0", False)])
         result = fit_rasch(records)
@@ -594,6 +624,12 @@ class TestEstimatorApi:
         est = RaschEstimator().fit(records)
         with pytest.raises(KeyError):
             est.predict_proba("nobody", "t000")
+
+    def test_unknown_task_raises(self):
+        records, _, _ = synthetic(3, 3, seed=4)
+        est = RaschEstimator().fit(records)
+        with pytest.raises(KeyError, match="unknown task 'nothing'"):
+            est.predict_proba("p000", "nothing")
 
 
 class TestOutcomeCsv:

@@ -47,6 +47,22 @@ def test_star_import_binds_every_name():
     assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC
 
 
+# What ``from skillcheck.<module> import *`` binds: the module's row of the package table,
+# plus the names compare and evidence export only at module level.
+MODULE_ONLY = {"compare": {"FIGURE_IDS", "report_csv"}, "evidence": {"GRADE_BOUNDARIES", "GRADE_LABELS"}}
+STAR_COUNTS = {"compare": 12, "dice": 15, "estimate": 7, "evidence": 7, "logistic": 12, "resolve": 10}
+
+
+@pytest.mark.parametrize("module", SUBMODULES)
+def test_submodule_star_import_binds_its_row_and_module_only_names(module):
+    namespace = {}
+    exec(f"from skillcheck.{module} import *", namespace)
+    bound = set(namespace) - {"__builtins__"}
+    home = {name for name in PUBLIC if skillcheck._HOME[name] == module}
+    assert bound == home | MODULE_ONLY.get(module, set())
+    assert len(bound) == STAR_COUNTS[module]
+
+
 def test_dir_lists_every_name_and_submodule():
     listed = dir(skillcheck)
     assert set(PUBLIC) <= set(listed)

@@ -233,6 +233,26 @@ class TestBatchSampler:
         assert simulate_count(target, n, batch) == sum(scalar_flags(target, before + n, scalar)[before:])
         assert batch.next_uint64() == scalar.next_uint64()
 
+    # One trial needs more draws than a block: its faces are carried across 2 or 4 blocks.
+    # The max pool's sides make about one draw in 2 * dice + 1 a rejection.
+    @pytest.mark.parametrize("dice", [8193, 3 * 8192 + 5])
+    @pytest.mark.parametrize("family", ["sum", "max"])
+    def test_trials_longer_than_a_block_match_scalar_rolls(self, family, dice):
+        if family == "sum":
+            m, seed = SumRollOver(dice=dice, sides=6, difficulty=7 * dice // 2), 11
+        else:
+            sides = 2**64 // (2 * dice + 1) + 1
+            m, seed = MaxPool(dice=dice, sides=sides, difficulty=round(sides * 0.5 ** (1 / dice))), 13
+        n = 8
+        batch, scalar = SplitMix64(seed), SplitMix64(seed)
+        rolls = [[scalar.roll_die(m.die_sides) for _ in range(dice)] for _ in range(n)]
+        expected = [m.succeeds(m.outcome_of(faces)) for faces in rolls]
+        assert batch_flags(m, n, batch) == expected
+        assert batch._state == scalar._state
+        assert 0 < sum(expected) < n
+        if family == "max":
+            assert draws_between(seed, batch) > n * dice
+
     def test_block_outputs_are_the_scalar_stream(self):
         batch, scalar = SplitMix64(-1), SplitMix64(-1)
         assert batch._block(8192).tolist() == [scalar.next_uint64() for _ in range(8192)]
