@@ -361,7 +361,7 @@ class TestFit:
     # Tiny logs fitted at ridge 0 and slope 3, one per rare path of the solver loop:
     # (rows, iterations, converged, the extreme identifiers its warning names).
     SOLVER_PATHS = {
-        # a full step raises the objective too little, so the line search halves it
+        # a full step lowers the objective, so the line search halves it
         "step_halved": ("p1,t1,0 p0,t2,0 p0,t1,0 p0,t2,1 p1,t1,0", 13, True, ["p1", "t1"]),
         # no step down to 1e-12 is accepted: the loop stops unconverged
         "line_search_fails": (
