@@ -275,9 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aggregate", action="store_true", help="print one summary row")
     p.set_defaults(func=_cmd_simulate)
 
-    # -1e-5, -inf and -nan are values too; argparse's own (private) matcher takes -1 and -.5
+    # -1e-5, -inf and -nan are values too; argparse's own (private) matcher takes -1 and -.5.
+    # Each command gets its own parser, so an error found after parsing prints its usage.
     for p in sub.choices.values():
         p._negative_number_matcher = re.compile(r"-\.?\d|-(?i:inf|nan)")
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -294,7 +296,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        args.func(args, parser)
+        args.func(args, args.parser)
     except SystemExit as exc:
         return int(exc.code or 0)
     except (ValueError, KeyError, OSError) as exc:

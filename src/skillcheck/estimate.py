@@ -30,6 +30,9 @@ from .logistic import sigmoid
 __all__ = list(_EXPORTS["estimate"])
 
 SlopeSpec = Union[float, Mapping[str, float]]
+# The Newton step forms n * slope**2 for a cell of n attempts. At this bound that stays
+# under 1e307 for any n below 2**63; past 1.35e154 it overflows a float at n = 1.
+_MAX_SLOPE = 1e144
 _Columns = tuple[Sequence[str], Sequence[str], Sequence[bool]]  # person, task, success
 
 
@@ -105,6 +108,8 @@ def _slope_for(task: str, slope: SlopeSpec) -> float:
         value = float(slope)
     if not 0.0 <= value < np.inf:
         raise ValueError(f"slope must be nonnegative and finite, got {value}")
+    if value > _MAX_SLOPE:
+        raise ValueError(f"slope must be at most {_MAX_SLOPE:g}, got {value}")
     return value
 
 
@@ -157,30 +162,23 @@ class _Kernel:
         sums = np.r_[np.bincount(self.cp, v, self.n_p), np.bincount(self.ct, v, self.n_t)]
         return sums.astype(float, copy=False)  # bincount of no weights is int64
 
-    def _z(self, w: np.ndarray) -> np.ndarray:
-        return self.r * (w[self.cp] - w[self.n_p + self.ct])
+    def at(self, w: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
+        """Log-likelihood, objective, gradient and cell success chances at ``w``.
 
-    def log_likelihood(self, w: np.ndarray) -> float:
-        """Unpenalized data log-likelihood."""
-        z = self._z(w)
+        One pass over the cells. The objective is the unpenalized data
+        log-likelihood minus ridge/2 times the squared norm of ``w``.
+        """
+        z = self.r * (w[self.cp] - w[self.n_p + self.ct])
         # y*ln(p) + (n-y)*ln(1-p) via stable log(1 + e^(+/-z))
-        return -(self.y * np.logaddexp(0.0, -z) + (self.n - self.y) * np.logaddexp(0.0, z)).sum()
-
-    def objective(self, w: np.ndarray) -> float:
-        """Log-likelihood minus ridge/2 times the squared norm of ``w``."""
-        return self.log_likelihood(w) - 0.5 * self.ridge * float(w @ w)
-
-    def gradient(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient of ``objective``, and each cell's success chance."""
-        z = self._z(w)
+        ll = -(self.y * np.logaddexp(0.0, -z) + (self.n - self.y) * np.logaddexp(0.0, z)).sum()
         ez = np.exp(-np.abs(z))
         p = np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
         g = self.sums(self.r * (self.y - self.n * p))
         g[self.n_p :] *= -1.0  # a success lowers its task's logit
-        return g - self.ridge * w, p
+        return ll, ll - 0.5 * self.ridge * float(w @ w), g - self.ridge * w, p
 
     def newton(self, g: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Newton direction -H^-1 g of ``objective`` at the success chances ``p``.
+        """Newton direction -H^-1 g of the objective at the success chances ``p``.
 
         H has diagonal person and task blocks and a cross block C of cell
         information. Eliminating the larger diagonal block D leaves the Schur
@@ -250,7 +248,7 @@ def log_likelihood(
     has records.
     """
     kernel, w = _kernel_at(records, abilities, difficulties, slope, ridge)
-    return float(kernel.objective(w))
+    return float(kernel.at(w)[1])
 
 
 def gradient(
@@ -268,7 +266,7 @@ def gradient(
     -ridge * parameter.
     """
     kernel, w = _kernel_at(records, abilities, difficulties, slope, ridge)
-    return kernel.gradient(w)[0]
+    return kernel.at(w)[2]
 
 
 def fit_rasch(
@@ -319,11 +317,10 @@ def _fit(columns: _Columns, *, slope: SlopeSpec, ridge: float, max_iter: int, to
     n_p = len(persons)
 
     w = np.zeros(n_p + len(tasks))
-    obj = kernel.objective(w)
+    _, obj, g, p = kernel.at(w)
     trace = [obj]
     iterations = 0
     while True:
-        g, p = kernel.gradient(w)
         g_max = float(np.max(np.abs(g)))
         converged = g_max < tol
         if converged or iterations >= max_iter:
@@ -338,21 +335,18 @@ def _fit(columns: _Columns, *, slope: SlopeSpec, ridge: float, max_iter: int, to
         # few ulps, and then only if it lowers the gradient max-norm: near the
         # optimum a full step's gain is below the objective's rounding.
         t = 1.0
-        accepted = False
         while t > 1e-12:
             candidate = w + t * direction
-            cand_obj = kernel.objective(candidate)
+            _, cand_obj, cand_g, cand_p = kernel.at(candidate)
             if cand_obj >= obj or (
-                obj - cand_obj <= 8 * np.spacing(abs(obj))
-                and float(np.max(np.abs(kernel.gradient(candidate)[0]))) < g_max
+                obj - cand_obj <= 8 * np.spacing(abs(obj)) and float(np.max(np.abs(cand_g))) < g_max
             ):
-                w, obj = candidate, cand_obj
-                accepted = True
+                w, obj, g, p = candidate, cand_obj, cand_g, cand_p
                 break
             t *= 0.5
         iterations += 1
         trace.append(obj)
-        if not accepted:
+        if t <= 1e-12:  # no step was accepted
             break
 
     # Gauge fix: difficulties sum to zero, offset absorbed into abilities.
@@ -366,7 +360,7 @@ def _fit(columns: _Columns, *, slope: SlopeSpec, ridge: float, max_iter: int, to
     return FitResult(
         abilities=dict(zip(persons, w[:n_p].tolist())),
         difficulties=dict(zip(tasks, w[n_p:].tolist())),
-        log_likelihood=float(kernel.log_likelihood(w)),
+        log_likelihood=float(kernel.at(w)[0]),
         iterations=iterations,
         converged=converged,
         extreme=extreme,

@@ -154,16 +154,17 @@ def _number(field: str, value: Any) -> float:
 
 def logistic_cdf(t: float, mean: float = 0.0, scale: float = 1.0) -> Probability:
     """CDF of the logistic distribution; variance is scale^2 * pi^2 / 3."""
-    if not scale > 0.0:
-        raise ValueError(f"scale must be positive, got {scale}")
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"scale must be positive and finite, got {scale}")
     return sigmoid((t - mean) / scale)
 
 
 def normal_cdf(t: float, mean: float = 0.0, sd: float = 1.0) -> Probability:
     """CDF of the normal distribution via the error function."""
-    if not sd > 0.0:
-        raise ValueError(f"sd must be positive, got {sd}")
-    return 0.5 * (1.0 + math.erf((t - mean) / (sd * math.sqrt(2.0))))
+    width = sd * math.sqrt(2.0)
+    if not 0.0 < width < math.inf:
+        raise ValueError(f"sd must be positive with sd * sqrt(2) finite, got {sd}")
+    return 0.5 * (1.0 + math.erf((t - mean) / width))
 
 
 def uniform_cdf(t: float, mean: float = 0.0, halfwidth: float = 1.0) -> Probability:
@@ -172,10 +173,11 @@ def uniform_cdf(t: float, mean: float = 0.0, halfwidth: float = 1.0) -> Probabil
     Clamps to exactly 0 and 1 outside the interval; this is the piecewise
     linear chance curve that flat-roll mechanics produce.
     """
-    if not halfwidth > 0.0:
-        raise ValueError(f"halfwidth must be positive, got {halfwidth}")
+    width = 2.0 * halfwidth
+    if not 0.0 < width < math.inf:
+        raise ValueError(f"halfwidth must be positive with 2 * halfwidth finite, got {halfwidth}")
     if t <= mean - halfwidth:
         return 0.0
     if t >= mean + halfwidth:
         return 1.0
-    return (t - (mean - halfwidth)) / (2.0 * halfwidth)
+    return (t - (mean - halfwidth)) / width

@@ -723,6 +723,7 @@ class TestDomainEdges:
                "got 124000 * (17 + 64) for 1d124000")
               for command in (("dist",), ("compare", "--pair", "dice"))
               for mechanic in (("step",), ("roll-under", "--target", "5"), ("roll-over",))),
+            (("fit", "--input", "-", "--slope", "2e154"), "slope must be at most 1e+144, got 2e+154"),
         ],
     )
     def test_out_of_range_input_is_a_one_line_error(self, capsys, monkeypatch, argv, message):
@@ -801,11 +802,16 @@ class TestTopLevel:
             ("dist --sides 6", "--mechanic is required"),
             ("check --mechanic sum --seed 1", "--sides is required"),
             ("opposed --skill-a 1", "both --skill-a and --skill-b are required"),
+            ("evidence --reliability 0.5", "--reliability needs exactly one --factor"),
+            ("check --mechanic sum --seed 1 --model {}", "give exactly one of --model or --mechanic"),
         ],
     )
     def test_a_missing_flag_is_named_on_the_last_stderr_line(self, capsys, argv, message):
+        # An error found after parsing prints the subcommand's usage, as argparse's own do.
         code, out, err = run_cli(capsys, *argv.split())
-        assert (code, out, err.splitlines()[-1]) == (2, "", f"skillcheck: error: {message}")
+        command = argv.split()[0]
+        assert (code, out, err.splitlines()[-1]) == (2, "", f"skillcheck {command}: error: {message}")
+        assert err.startswith(f"usage: skillcheck {command} [-h]")
 
 
 class TestParserReuse:

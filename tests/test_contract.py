@@ -22,7 +22,7 @@ import warnings
 from datetime import timedelta
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skillcheck import cli
@@ -149,6 +149,9 @@ def assert_contract(argv):
 
 @settings(max_examples=400, derandomize=True, deadline=timedelta(seconds=5))
 @given(argvs())
+# n * slope**2 in the Newton step overflowed from slope 1.35e154 and printed numpy warnings.
+@example(["fit", "--input", "-", "--slope", "1e308"])
+@example(["fit", "--input", "-", "--slope", "2e154"])
 def test_every_float_flag_answers_or_is_a_one_line_error(argv):
     assert_contract(argv)
 

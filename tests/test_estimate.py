@@ -377,7 +377,7 @@ class TestFit:
     @pytest.mark.parametrize("log", SOLVER_PATHS)
     def test_rare_solver_paths(self, log):
         rows, iterations, converged, extreme = self.SOLVER_PATHS[log]
-        records = make_records((p, t, s == "1") for p, t, s in (r.split(",") for r in rows.split()))
+        records = self._records_of(rows)
         message = f"unpenalized fit with all-success or all-failure identifiers diverges: {extreme}"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -387,6 +387,30 @@ class TestFit:
         trace = result.objective_trace
         assert len(trace) == iterations + 1
         assert all(b >= a for a, b in zip(trace, trace[1:]))
+
+    def _records_of(self, rows):
+        return make_records((p, t, s == "1") for p, t, s in (r.split(",") for r in rows.split()))
+
+    def test_each_point_is_evaluated_once(self, monkeypatch):
+        points = []
+        at = _Kernel.at
+
+        def spy(kernel, w):
+            points.append(w.tobytes())
+            return at(kernel, w)
+
+        monkeypatch.setattr(_Kernel, "at", spy)
+        records, _, _ = synthetic(6, 5, seed=3)
+        result = fit_rasch(records)
+        # The start, each iteration's full step and the gauge-shifted end point.
+        assert result.converged and result.iterations > 2
+        assert len(points) == len(set(points)) == result.iterations + 2
+        points.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = fit_rasch(self._records_of(self.SOLVER_PATHS["step_halved"][0]), ridge=0.0, slope=3.0)
+        # Each halving adds one candidate, evaluated once.
+        assert len(points) == len(set(points)) > result.iterations + 2
 
     def test_ids_that_differ_by_a_trailing_nul_stay_apart(self):
         records = make_records([("a", "t", True), ("a\0", "t", False), ("a", "t\0", False)])
@@ -428,6 +452,35 @@ class TestFit:
         with pytest.raises(ValueError, match="^ridge must be nonnegative and finite"):
             RaschEstimator(ridge=value).fit(records)
 
+    @pytest.mark.parametrize("slope", [np.nextafter(1e144, np.inf), 2e154, 1e308, {"t1": 1.0, "t2": 1e200}])
+    def test_a_slope_past_the_bound_is_refused(self, slope):
+        records = make_records([("a", "t1", True), ("a", "t2", False), ("b", "t1", False)])
+        theta, beta = {"a": 0.5, "b": -0.5}, {"t1": 0.0, "t2": 1.0}
+        calls = [
+            lambda: fit_rasch(records, slope=slope),
+            lambda: log_likelihood(records, theta, beta, slope=slope),
+            lambda: gradient(records, theta, beta, slope=slope),
+            lambda: RaschEstimator(slope=slope).fit(records),
+            lambda: RaschEstimator().fit(records).set_params(slope=slope).predict_proba("a", "t2"),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"^slope must be at most 1e\+144, got \d"):
+                call()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("ridge", [0.0, 0.01])
+    @pytest.mark.parametrize("attempts", [1, 1000])
+    def test_the_largest_slope_fits_without_a_numpy_warning(self, ridge, attempts):
+        # n * slope**2 overflowed in the Newton step from slope 1.35e154 at n = 1.
+        rows = [("a", "t1", True), ("a", "t2", False), ("b", "t1", False), ("b", "t2", True),
+                ("c", "t1", True), ("c", "t2", False)]
+        records = make_records(rows + [("a", "t1", i % 3 == 0) for i in range(attempts)])
+        result = fit_rasch(records, slope=1e144, ridge=ridge)
+        values = [*result.abilities.values(), *result.difficulties.values(), result.log_likelihood]
+        assert all(math.isfinite(v) for v in values)
+        assert math.isfinite(log_likelihood(records, result.abilities, result.difficulties, 1e144, ridge))
+        assert np.isfinite(gradient(records, result.abilities, result.difficulties, 1e144, ridge)).all()
+
     def test_record_validation(self):
         with pytest.raises(ValueError):
             OutcomeRecord("", "t", True)
@@ -467,7 +520,7 @@ class TestNewtonStep:
         slope = {t: 0.5 + j * 0.25 for j, t in enumerate(tasks)} if per_task_slope else 1.3
         kernel = _Kernel(_columns(records), persons, tasks, slope, 0.05)
         w = np.array([-2.0 + 4.0 * rng.random() for _ in range(n_persons + n_tasks)])
-        g, p = kernel.gradient(w)
+        _, _, g, p = kernel.at(w)
         expected = -np.linalg.solve(dense_hessian(kernel, p), g)
         np.testing.assert_allclose(kernel.newton(g, p), expected, rtol=1e-10)
 

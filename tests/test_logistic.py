@@ -1,6 +1,7 @@
 """Scale conversions, the logistic model family and reference CDFs."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -276,3 +277,22 @@ class TestReferenceCdfs:
             normal_cdf(0.0, sd=-1.0)
         with pytest.raises(ValueError):
             uniform_cdf(0.0, halfwidth=0.0)
+
+    @pytest.mark.parametrize(
+        "cdf,args,message",
+        [
+            (uniform_cdf, (1.0, 0.0, math.inf), "halfwidth must be positive with 2 * halfwidth finite, got inf"),
+            # 2 * halfwidth overflowed, and the midpoint read 0.0
+            (uniform_cdf, (0.0, 0.0, 1e308), "halfwidth must be positive with 2 * halfwidth finite, got 1e+308"),
+            (normal_cdf, (math.inf, 0.0, 1.3e308), "sd must be positive with sd * sqrt(2) finite, got 1.3e+308"),
+            (logistic_cdf, (math.inf, 0.0, math.inf), "scale must be positive and finite, got inf"),
+        ],
+    )
+    def test_a_width_past_a_float_is_refused(self, cdf, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cdf(*args)
+
+    def test_the_widest_widths_keep_their_midpoint(self):
+        assert uniform_cdf(0.0, 0.0, 8.98e307) == 0.5
+        assert normal_cdf(0.0, 0.0, 1.27e308) == 0.5
+        assert logistic_cdf(0.0, 0.0, 1.79e308) == 0.5
