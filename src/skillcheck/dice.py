@@ -2,11 +2,12 @@
 
 Distributions hold integer counts of ways over one denominator and give
 exact ``fractions.Fraction`` probabilities, so results never overflow or
-round. A sum is one big-integer power of the packed die (Kronecker
-substitution). A success probability builds no distribution: it counts the
-ways to stay at or below one limit in closed form, out of ``sides**dice``
-(inclusion-exclusion for sums, a binomial sum for counts, a power for
-maxima). Convert to float only at the edges (reporting, plotting).
+round. A sum's counts follow a three-term integer recurrence up to the
+middle outcome, and mirror it past there. A success probability builds no
+distribution: it counts the ways to stay at or below one limit in closed
+form, out of ``sides**dice`` (inclusion-exclusion for sums, a binomial sum
+for counts, a power for maxima). Convert to float only at the edges
+(reporting, plotting).
 
 One work bound guards every exact computation on a mechanic but a one-die
 count of faces: ``outcomes * (bits + 64) <= 10**7`` and ``bits <= 2**18``,
@@ -150,29 +151,28 @@ def _pack(d: DiscreteDist, width: int) -> int:
     return int.from_bytes(b"".join(at.get(k, 0).to_bytes(width, "little") for k in span), "little")
 
 
-def _kronecker(d: DiscreteDist, n: int, other: DiscreteDist) -> DiscreteDist:
-    """The sum of ``n`` draws from ``d`` and one from ``other``, by Kronecker substitution:
-    counts are base-256**width digits of one integer, and no partial sum's count exceeds
-    ``den``, so one integer product convolves them without a carry between slots."""
-    den = d.den**n * other.den
+def convolve(a: DiscreteDist, b: DiscreteDist) -> DiscreteDist:
+    """Distribution of the sum of independent draws from ``a`` and ``b``.
+
+    By Kronecker substitution: counts are base-256**width digits of one integer each, and no
+    count of the sum exceeds its denominator, so one integer product convolves them without
+    a carry between slots.
+    """
+    den = a.den * b.den
     width = (den.bit_length() + 8) // 8
-    packed = _pack(d, width) ** n * _pack(other, width)
+    packed = _pack(a, width) * _pack(b, width)
     raw = packed.to_bytes(-(-packed.bit_length() // (8 * width)) * width, "little")
     counts = (int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width))
-    return _counted(n * d.support[0] + other.support[0], counts, den)
-
-
-def convolve(a: DiscreteDist, b: DiscreteDist) -> DiscreteDist:
-    """Distribution of the sum of independent draws from ``a`` and ``b``."""
-    return _kronecker(a, 1, b)
+    return _counted(a.support[0] + b.support[0], counts, den)
 
 
 # The work bound. Each outcome costs a count as wide as the denominator sides**dice plus a
 # fixed share (its CSV row, its float) of about 64 bits; reducing a count and taking moments
 # are quadratic in its width, so the width is bounded too. At the bounds, on one x86-64 core:
-# a sum's `dist` takes 1.7-2.1 s (3129d2, 115d100), any other `dist` up to 0.6 s, and any
-# command at the width bound 0.4 s or less (max 262144d2). Without the width clause, max
-# 1500000d3 took 6 s (`dist --success`) to 43 s (`compare --pair dice`).
+# a sum's `dist` takes 0.08 s or less (3129d2, nearly all of it `dist_to_csv`), any other
+# `dist` up to 0.5 s (binomial 700d2**20), a one-die `compare --pair dice` 0.27 s (123456
+# sides), and any command at the width bound 0.25 s or less (binomial 37d2**7084). Without
+# the width clause, max 1500000d3 took 6 s (`dist --success`) to 43 s (`compare --pair dice`).
 _MAX_WORK = 10**7
 _MAX_BITS = 2**18
 
@@ -219,7 +219,19 @@ def _count_at_most(m: "Mechanic", s: int) -> int:
 
 
 def _sum_distribution(m: "Mechanic") -> DiscreteDist:
-    return _kronecker(die(m.sides), m.dice, constant(0))
+    """With faces 0..d-1, the ways c_k to total k have the generating function
+    ((1 - x**d) / (1 - x))**n, which is holonomic, so they follow the three-term recurrence
+    k c_k = (k - 1 + n) c_(k-1) + (k - d - n d) c_(k-d) + (top - k + 1 + d) c_(k-d-1),
+    every division exact (Petkovsek, Wilf & Zeilberger, *A = B*, ch. 4). It runs up to the
+    middle of 0..top; the counts are symmetric about it, c_k = c_(top-k)."""
+    n, d = m.dice, m.sides
+    top = n * (d - 1)
+    a, b, e = n - 1, -d - n * d, top + 1 + d  # the coefficients are k + a, k + b and e - k
+    c = [0] * d + [1]  # c[d + k] is c_k; the zeros stand for k = -d..-1
+    for k in range(1, top // 2 + 1):
+        c.append(((k + a) * c[-1] + (k + b) * c[k] + (e - k) * c[k - 1]) // k)
+    c = c[d:]
+    return _counted(n, c + c[top - len(c) :: -1], d**n)
 
 
 def _sum_at_most(m: "Mechanic", s: int) -> int:

@@ -152,18 +152,25 @@ def _number(field: str, value: Any) -> float:
         raise ValueError(f"model field {field} must be a number, got {value!r}") from None
 
 
+def _refused(mean: float, width: str, value: float) -> ValueError:
+    """The error of a CDF whose guard failed: a non-finite ``mean``, else its width."""
+    if not abs(mean) < math.inf:
+        return ValueError(f"mean must be finite, got {mean}")
+    return ValueError(f"{width}, got {value}")
+
+
 def logistic_cdf(t: float, mean: float = 0.0, scale: float = 1.0) -> Probability:
     """CDF of the logistic distribution; variance is scale^2 * pi^2 / 3."""
-    if not 0.0 < scale < math.inf:
-        raise ValueError(f"scale must be positive and finite, got {scale}")
+    if not 0.0 < scale < math.inf > abs(mean):
+        raise _refused(mean, "scale must be positive and finite", scale)
     return sigmoid((t - mean) / scale)
 
 
 def normal_cdf(t: float, mean: float = 0.0, sd: float = 1.0) -> Probability:
     """CDF of the normal distribution via the error function."""
     width = sd * math.sqrt(2.0)
-    if not 0.0 < width < math.inf:
-        raise ValueError(f"sd must be positive with sd * sqrt(2) finite, got {sd}")
+    if not 0.0 < width < math.inf > abs(mean):
+        raise _refused(mean, "sd must be positive with sd * sqrt(2) finite", sd)
     return 0.5 * (1.0 + math.erf((t - mean) / width))
 
 
@@ -174,8 +181,8 @@ def uniform_cdf(t: float, mean: float = 0.0, halfwidth: float = 1.0) -> Probabil
     linear chance curve that flat-roll mechanics produce.
     """
     width = 2.0 * halfwidth
-    if not 0.0 < width < math.inf:
-        raise ValueError(f"halfwidth must be positive with 2 * halfwidth finite, got {halfwidth}")
+    if not 0.0 < width < math.inf > abs(mean):
+        raise _refused(mean, "halfwidth must be positive with 2 * halfwidth finite", halfwidth)
     if t <= mean - halfwidth:
         return 0.0
     if t >= mean + halfwidth:

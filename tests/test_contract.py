@@ -11,6 +11,11 @@ stdout. ``inf`` is a documented value only where odds outgrow a float:
 infinite likelihood ratio. Integer cells are exact at any size. A Python
 warning never reaches stderr; on exit 0 its only lines are ``warning: ``
 lines about a fit.
+
+The library's die entry points get the same treatment: each mechanic constructor
+is drawn with every int argument from the same edges and the work bound's own,
+and ``outcome_distribution`` and ``success_probability`` must give a value or a
+``ValueError``, never another exception.
 """
 
 import contextlib
@@ -26,6 +31,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skillcheck import cli
+from skillcheck.dice import outcome_distribution, success_probability
 
 EDGES = ("nan", "-nan", "inf", "-inf", "0", "1e308", "-1e308", "1e-308", "-1e-308",
          "1e-400", "-1e-400", "5e-324", "-2.5", "-1e-5")
@@ -35,6 +41,9 @@ LOG = "person,task,success\na,t1,1\na,t2,0\nb,t1,0\nb,t2,1\nc,t1,1\n"
 INTS = ("0", "1", "-1", "2", str(2**63 - 1), str(2**63), str(-2**63), str(2**64 + 1), str(10**30),
         str(10**4000))
 INT_FLAGS = ("--dice", "--sides", "--target", "--modifier", "--difficulty", "--threshold", "--required")
+# Both sides of the work bound for sums: it accepts 3129d2, 115d100, 28d1000 and 1d123456, and
+# refuses 3130d2, 116d100 and 1d123457.
+WORK_EDGES = ("28", "100", "115", "116", "1000", "3129", "3130", "123456", "123457")
 # Sampled work, trials times dice, stays under this: a huge --n is a long run, not a fault.
 MAX_DRAWS = 10**5
 
@@ -160,3 +169,25 @@ def test_every_float_flag_answers_or_is_a_one_line_error(argv):
 @given(int_argvs())
 def test_every_int_flag_answers_or_is_a_one_line_error(argv):
     assert_contract(argv)
+
+
+@st.composite
+def mechanics(draw):
+    """One of the seven mechanic constructors and its arguments, each int drawn from the edges."""
+    family = draw(st.sampled_from(list(cli.MECHANICS.values())))
+    values = st.sampled_from([int(v) for v in INTS + WORK_EDGES])
+    return family, [draw(values) for _ in dataclasses.fields(family)]
+
+
+@settings(max_examples=1000, derandomize=True, deadline=timedelta(seconds=5))
+@given(mechanics())
+def test_every_mechanic_answers_or_raises_value_error(drawn):
+    family, args = drawn
+    try:
+        mechanic = family(*args)
+    except ValueError:
+        return
+    with contextlib.suppress(ValueError):
+        outcome_distribution(mechanic)
+    with contextlib.suppress(ValueError):
+        assert 0 <= success_probability(mechanic) <= 1

@@ -8,7 +8,9 @@ library must match it fraction for fraction.
 import dataclasses
 import sys
 from collections import Counter
+from datetime import timedelta
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from math import comb, gcd
 
@@ -33,6 +35,7 @@ from skillcheck.dice import (
     outcome_distribution,
     success_probability,
 )
+from skillcheck.dice import _sum_at_most, _sum_distribution
 
 # Independent restatement of each family: (dice count, reduce, success rule).
 ORACLE = {
@@ -459,7 +462,7 @@ def test_count_and_max_bound_refuses_at_once():
             success_probability(m)
 
 
-# --- integer counts and Kronecker sums ----------------------------------------
+# --- integer counts, convolution and sums ----------------------------------------
 # Oracles below use only the standard library: a pairwise Fraction convolution
 # and a prefix-sum recurrence over integer counts of ways.
 
@@ -519,6 +522,36 @@ def test_sums_at_the_cap_match_the_integer_recurrence(n, s):
     threshold = n * (s + 1) // 2
     expected = Fraction(sum(w for t, w in enumerate(ways, n) if t >= threshold), s**n)
     assert success_probability(SumRollOver(n, s, difficulty=threshold)) == expected
+
+
+# A sum is built by a three-term recurrence, run to the middle and mirrored. Two
+# independent references: repeated convolution of one die (Kronecker products), and de
+# Moivre's inclusion-exclusion count of the ways to total at most s at every cut.
+@settings(derandomize=True, max_examples=120, deadline=timedelta(seconds=2))
+@given(st.integers(1, 40), st.integers(2, 30))
+@example(1, 2)  # top = 1, odd
+@example(2, 2)  # top = 2, even
+@example(1, 3)  # one die, even top
+@example(3, 2)
+@example(7, 3)  # the seam: top = 14, with the c[k - d - 1] term in use
+def test_sum_recurrence_matches_convolution_and_de_moivre(n, d):
+    m = SumRollOver(n, d)
+    built = _sum_distribution(m)
+    assert built == reduce(convolve, [die(d)] * n)
+    cuts = range(n - 1, n * d + 1)
+    assert [built.cdf(s) * d**n for s in cuts] == [_sum_at_most(m, s) for s in cuts]
+
+
+# The largest sums the work bound accepts, a few milliseconds each.
+@pytest.mark.parametrize("n,d", [(3129, 2), (115, 100), (28, 1000)])
+def test_sums_at_the_work_bound_are_whole_symmetric_and_match_de_moivre(n, d):
+    m = SumRollOver(n, d)
+    built = _sum_distribution(m)
+    assert built.den == d**n and sum(built.counts) == d**n
+    assert built.support == tuple(range(n, n * d + 1))
+    assert built.counts == built.counts[::-1]
+    for s in (n - 1, n, (n + n * d) // 2, n * d - 1, n * d):
+        assert built.cdf(s) * d**n == _sum_at_most(m, s)
 
 
 def test_one_distribution_built_three_ways_is_equal_and_hashes_equal():

@@ -292,6 +292,13 @@ class TestReferenceCdfs:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             cdf(*args)
 
+    # inf - inf made logistic_cdf and normal_cdf nan, and uniform_cdf read 0.0.
+    @pytest.mark.parametrize("cdf", [logistic_cdf, normal_cdf, uniform_cdf])
+    @pytest.mark.parametrize("mean", [math.inf, -math.inf, math.nan])
+    def test_a_mean_past_a_float_is_refused(self, cdf, mean):
+        with pytest.raises(ValueError, match=f"^mean must be finite, got {mean}$"):
+            cdf(math.inf, mean, 1.0)
+
     def test_the_widest_widths_keep_their_midpoint(self):
         assert uniform_cdf(0.0, 0.0, 8.98e307) == 0.5
         assert normal_cdf(0.0, 0.0, 1.27e308) == 0.5
