@@ -32,7 +32,7 @@ from functools import cached_property
 from itertools import accumulate, islice
 from math import comb, gcd, lcm
 from operator import lt
-from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
+from typing import ClassVar, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import _EXPORTS
 
@@ -159,6 +159,11 @@ def convolve(a: DiscreteDist, b: DiscreteDist) -> DiscreteDist:
     a carry between slots.
     """
     den = a.den * b.den
+    span = a.support[-1] + b.support[-1] - a.support[0] - b.support[0] + 1
+    need = _work_needed(span, den.bit_length())
+    if need:
+        raise ValueError(f"convolve needs {need}, outcomes being the span of the sum "
+                         "and bits the bit length of its denominator")
     width = (den.bit_length() + 8) // 8
     packed = _pack(a, width) * _pack(b, width)
     raw = packed.to_bytes(-(-packed.bit_length() // (8 * width)) * width, "little")
@@ -185,17 +190,22 @@ def _shown(k: int) -> str:
         return f"<{k.bit_length()}-bit integer>"
 
 
+def _work_needed(outcomes: int, bits: int) -> Optional[str]:
+    """What the work bound asks of ``outcomes`` counts ``bits`` wide, or None if they meet it."""
+    if outcomes * (bits + 64) > _MAX_WORK:
+        return f"outcomes * (bits + 64) <= {_MAX_WORK}, got {_shown(outcomes)} * ({_shown(bits)} + 64)"
+    if bits > _MAX_BITS:
+        return f"bits <= {_MAX_BITS}, got {_shown(bits)}"
+    return None
+
+
 def _check_work(m: "Mechanic") -> None:
     n, sides = m.dice_count, m.die_sides
     outcomes = {"sum": n * (sides - 1) + 1, "count": n + 1}.get(m.reducer, sides)
     bits = n * (sides - 1).bit_length()  # at least the bit length of sides**dice
-    if outcomes * (bits + 64) > _MAX_WORK:
-        need = f"outcomes * (bits + 64) <= {_MAX_WORK}, got {_shown(outcomes)} * ({_shown(bits)} + 64)"
-    elif bits > _MAX_BITS:
-        need = f"bits <= {_MAX_BITS}, got {_shown(bits)}"
-    else:
-        return
-    raise ValueError(f"exact {m.reducer} distributions need {need} for {_shown(n)}d{_shown(sides)}")
+    need = _work_needed(outcomes, bits)
+    if need:
+        raise ValueError(f"exact {m.reducer} distributions need {need} for {_shown(n)}d{_shown(sides)}")
 
 
 def _count_ways(m: "Mechanic") -> Iterator[int]:

@@ -187,21 +187,21 @@ class _Kernel:
         """
         info = self.n * self.r * self.r * p * (1.0 - p)
         d = -self.sums(info) - self.ridge
-        # Larger side first: rotating by n_t puts the tasks first.
-        shift = self.n_t if self.n_p < self.n_t else 0
-        big, small = (self.ct, self.cp) if shift else (self.cp, self.ct)
-        g, d, k = np.roll(g, shift), np.roll(d, shift), shift or self.n_p
-        c = np.zeros((k, len(d) - k))
+        # Eliminate the larger side. Persons come first in g and d, then tasks.
+        k, tasks_big = self.n_p, self.n_p < self.n_t
+        sides = [(self.cp, g[:k], d[:k]), (self.ct, g[k:], d[k:])]
+        (big, g_big, d_big), (small, g_small, d_small) = sides[::-1] if tasks_big else sides
+        c = np.zeros((len(d_big), len(d_small)))
         c[big, small] = info  # cells are unique
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # D < 0, so C^T D^-1 C = -X^T X for X = C / sqrt(-D): a symmetric product.
-            root = np.sqrt(-d[:k])
+            root = np.sqrt(-d_big)
             x = c / root[:, None]
             s = x.T @ x
-            s.flat[:: len(d) - k + 1] += d[k:]
-            x_small = np.linalg.solve(s, -g[k:] - x.T @ (g[:k] / root))
-            x_big = (-g[:k] - c @ x_small) / d[:k]
-        return np.roll(np.r_[x_big, x_small], -shift)
+            s.flat[:: len(d_small) + 1] += d_small
+            x_small = np.linalg.solve(s, -g_small - x.T @ (g_big / root))
+            x_big = (-g_big - c @ x_small) / d_big
+        return np.r_[x_small, x_big] if tasks_big else np.r_[x_big, x_small]
 
     def connected(self) -> bool:
         """Whether the cells join every person and task into one component.

@@ -33,6 +33,7 @@ from skillcheck.compare import (
     _CURVES,
     _LOGISTIC_BEND,
     _MAX_POINTS,
+    _STRIDE,
     _Curve,
     _curve_report,
     _curve_summary,
@@ -478,17 +479,48 @@ def family_curves(draw):
     LogisticParams(-5.600363037531263, 3.199430547186454), -4.316604585930955, 7.904204875384208))
 @example(uniform_member(
     LogisticParams(-6.235377038240092, 1.0968356816407372), -7.2563673186827415, 2.3580056008131787))
+# A kink at grid index 591.78, inside the leaf (590, 592) that the recursion reaches by
+# splitting (560, 600) four times; the grid maximum, at 591, is read only there.
+@example(uniform_member(LogisticParams(4.25, 5.387), 5.112, 1.665))
 def test_summary_holds_for_any_curve_within_its_bound(case):
     lp, curve = case
     summary, full = summary_and_report(lp, curve)
     assert summary == full
 
 
+def test_a_stretch_whose_bound_only_reaches_the_floor_is_read():
+    # Near 2**60 a unit in the last place is 128 or 256, so the bound's curvature and slack
+    # terms vanish in rounding and a stretch's bound equals the larger gap at its ends. The
+    # gap steps from 2**60 - 128 to 2**60 at index 49, inside the stretch (40, 80) whose bound
+    # equals the floor: skipping it would move the first maximum to index 80.
+    lp = LogisticParams(0.0, 1.0)
+    curve = _Curve(lambda t: 2.0**60 + 6.4 * t, _LOGISTIC_BEND)
+    report = _curve_report(lp, curve)
+    assert report.argmax_point == report.grid[49]
+    summary, full = summary_and_report(lp, curve)
+    assert summary == full
+
+
+def test_a_midpoint_read_raises_the_floor():
+    # The normal pair's grid maximum at (0, 1), index 532, is the middle of the stretch
+    # (530, 535) and beats every point read first, so reading it raises the floor.
+    lp = LogisticParams(0.0, 1.0)
+    curve = _CURVES["normal"](lp)
+    report = _curve_report(lp, curve)
+    gaps = [abs(a - b) for a, b in zip(report.cdf_a, report.cdf_b)]
+    assert report.argmax_point == report.grid[532]
+    assert gaps[532] > max(gaps[i] for i in [*range(0, 1200, _STRIDE), 1200])
+    summary, full = summary_and_report(lp, curve)
+    assert summary == full
+
+
 @pytest.mark.parametrize("pair", sorted(_CURVES))
 def test_summary_reads_a_fraction_of_the_grid(pair):
+    # 74 points for the normal and 65 for the uniform; if midpoint reads never raised the
+    # floor, the normal would read 98.
     lp = LogisticParams(0.0, 1.0)
     curve = _CURVES[pair](lp)
     read = []
     _curve_summary(lp, curve._replace(cdf=lambda t: read.append(t) or curve.cdf(t)))
     assert len(_curve_report(lp, curve).grid) == 1201
-    assert len(read) < 300
+    assert len(read) <= 80
