@@ -23,8 +23,6 @@ from .logistic import logistic_cdf, normal_cdf, sigmoid, uniform_cdf
 
 __all__ = [*_EXPORTS["compare"], "report_csv", "FIGURE_IDS"]
 
-CdfLike = Union[Callable[[float], float], DiscreteDist]
-
 
 @dataclass(frozen=True)
 class LogisticParams:
@@ -94,22 +92,6 @@ def match_normal_to_logistic(lp: LogisticParams) -> tuple[float, float]:
     return lp.mean, math.sqrt(lp.variance)
 
 
-def _as_cdf(c: CdfLike) -> Callable[[float], float]:
-    if isinstance(c, DiscreteDist):
-        return lambda x: float(c.cdf(x))
-    return c
-
-
-def _jump_points(d: DiscreteDist, lo: float, hi: float) -> list[float]:
-    # Step CDFs are constant between jumps, so evaluating at each support
-    # point and at midpoints between consecutive ones captures both
-    # one-sided limits at every jump.
-    pts = [float(k) for k in d.support]
-    pts.append(d.support[0] - 0.5)
-    pts.extend((a + b) / 2.0 for a, b in zip(d.support, d.support[1:]))
-    return [p for p in pts if lo <= p <= hi]
-
-
 def _largest_gap(
     grid: tuple[float, ...], va: Iterable[float], vb: Iterable[float]
 ) -> tuple[float, float]:
@@ -149,26 +131,15 @@ def _grid_count(lo: float, hi: float, step: float) -> int:
 
 
 def sup_distance(
-    cdf_a: CdfLike,
-    cdf_b: CdfLike,
-    lo: float,
-    hi: float,
-    step: float,
+    cdf_a: Callable[[float], float], cdf_b: Callable[[float], float], lo: float, hi: float, step: float
 ) -> ComparisonReport:
-    """Largest absolute CDF gap over an evenly spaced grid on [lo, hi].
+    """Largest absolute gap between two CDF callables over an evenly spaced grid on [lo, hi].
 
-    Arguments may be CDF callables or exact ``DiscreteDist`` values; for a
-    discrete operand the grid is augmented so both one-sided limits at
-    every jump are evaluated exactly. A grid of more than 10**6 evenly
-    spaced points raises ``ValueError``.
+    Grid points that round to the same float are read once. A grid of more than 10**6
+    points raises ``ValueError``.
     """
-    points = [lo + i * step for i in range(_grid_count(lo, hi, step))]
-    for c in (cdf_a, cdf_b):
-        if isinstance(c, DiscreteDist):
-            points.extend(_jump_points(c, lo, hi))
-    grid = tuple(sorted(set(points)))
-    fa, fb = _as_cdf(cdf_a), _as_cdf(cdf_b)
-    return _report(grid, map(fa, grid), map(fb, grid))
+    grid = tuple(sorted(set(lo + i * step for i in range(_grid_count(lo, hi, step)))))
+    return _report(grid, map(cdf_a, grid), map(cdf_b, grid))
 
 
 def discrete_vs_logistic(d: DiscreteDist) -> ComparisonReport:

@@ -32,7 +32,7 @@ from functools import cached_property
 from itertools import accumulate, islice
 from math import comb, gcd, lcm
 from operator import lt
-from typing import ClassVar, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Any, Callable, ClassVar, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import _EXPORTS
 
@@ -201,9 +201,8 @@ def _work_needed(outcomes: int, bits: int) -> Optional[str]:
 
 def _check_work(m: "Mechanic") -> None:
     n, sides = m.dice_count, m.die_sides
-    outcomes = {"sum": n * (sides - 1) + 1, "count": n + 1}.get(m.reducer, sides)
     bits = n * (sides - 1).bit_length()  # at least the bit length of sides**dice
-    need = _work_needed(outcomes, bits)
+    need = _work_needed(m._row.outcomes(n, sides), bits)
     if need:
         raise ValueError(f"exact {m.reducer} distributions need {need} for {_shown(n)}d{_shown(sides)}")
 
@@ -264,24 +263,46 @@ def _max_at_most(m: "Mechanic", s: int) -> int:
     return min(max(s, 0), m.sides) ** m.dice
 
 
-# Per reducer: the outcome of one attempt's faces, its exact distribution, the outcomes
-# of many attempts from a numpy array of faces (one attempt per row), and the ways of
-# ``sides**dice`` that the outcome is at most ``s``.
+class _Reducer(NamedTuple):
+    """How the faces of one attempt become its outcome, and what follows from that."""
+
+    outcome_of: Callable[["Mechanic", Sequence[int]], int]  # one attempt's faces
+    outcomes_of: Callable[["Mechanic", Any], Any]  # a numpy array of faces, one attempt per row
+    outcomes: Callable[[int, int], int]  # how many outcomes ``dice`` dice of ``sides`` have
+    distribution: Callable[["Mechanic"], DiscreteDist]
+    ways_at_most: Callable[["Mechanic", int], int]  # of sides**dice, with an outcome <= s
+
+
+# One row per reducer, each fact written once. A family reads its row by its reducer's name.
 _REDUCERS = {
-    "face": (
-        lambda m, faces: faces[0],
-        lambda m: die(m.sides),
-        lambda m, f: f[:, 0],
-        lambda m, s: min(max(s, 0), m.sides),
+    "face": _Reducer(
+        outcome_of=lambda m, faces: faces[0],
+        outcomes_of=lambda m, f: f[:, 0],
+        outcomes=lambda dice, sides: sides,
+        distribution=lambda m: die(m.sides),
+        ways_at_most=lambda m, s: min(max(s, 0), m.sides),
     ),
-    "sum": (lambda m, faces: sum(faces), _sum_distribution, lambda m, f: f.sum(1), _sum_at_most),
-    "count": (
-        lambda m, faces: sum(1 for f in faces if f >= m.threshold),
-        _count_distribution,
-        lambda m, f: (f >= m.threshold).sum(1),
-        _count_at_most,
+    "sum": _Reducer(
+        outcome_of=lambda m, faces: sum(faces),
+        outcomes_of=lambda m, f: f.sum(1),
+        outcomes=lambda dice, sides: dice * (sides - 1) + 1,
+        distribution=_sum_distribution,
+        ways_at_most=_sum_at_most,
     ),
-    "max": (lambda m, faces: max(faces), _max_distribution, lambda m, f: f.max(1), _max_at_most),
+    "count": _Reducer(
+        outcome_of=lambda m, faces: sum(1 for f in faces if f >= m.threshold),
+        outcomes_of=lambda m, f: (f >= m.threshold).sum(1),
+        outcomes=lambda dice, sides: dice + 1,
+        distribution=_count_distribution,
+        ways_at_most=_count_at_most,
+    ),
+    "max": _Reducer(
+        outcome_of=lambda m, faces: max(faces),
+        outcomes_of=lambda m, f: f.max(1),
+        outcomes=lambda dice, sides: sides,
+        distribution=_max_distribution,
+        ways_at_most=_max_at_most,
+    ),
 }
 
 
@@ -296,9 +317,9 @@ class Mechanic:
     when it rolls more than one die, and two class-level facts from which
     ``outcome_of(faces)`` and ``succeeds(outcome)`` are made:
 
-    * ``reducer``: how the faces of one attempt become the outcome: the
-      single ``"face"``, their ``"sum"``, the ``"count"`` of faces at or
-      above ``threshold``, or their ``"max"``;
+    * ``reducer``: the name of the ``_REDUCERS`` row that turns the faces of one
+      attempt into the outcome: the single ``"face"``, their ``"sum"``, the
+      ``"count"`` of faces at or above ``threshold``, or their ``"max"``;
     * ``bound``: the name of the field the outcome is held against, less the
       ``modifier`` of a family that has one. Success is one cut, made once per
       mechanic, ``(outcome <= _cut) == _at_most``: a ``"target"`` succeeds on
@@ -308,14 +329,14 @@ class Mechanic:
 
     reducer: ClassVar[str]
     bound: ClassVar[str]
+    sides: int
+    _row: ClassVar[_Reducer]
     _at_most: ClassVar[bool]
     _cut: int
 
     def __init_subclass__(cls, **kwargs: object) -> None:
         super().__init_subclass__(**kwargs)
-        # Chosen once per family, so that a roll pays for no dispatch.
-        row = _REDUCERS[cls.reducer]
-        cls.outcome_of, cls._distribution, cls._outcomes_of, cls._ways_at_most = row  # type: ignore
+        cls._row = _REDUCERS[cls.reducer]  # chosen once per family
         cls._at_most = cls.bound == "target"
 
     def __post_init__(self) -> None:
@@ -326,6 +347,10 @@ class Mechanic:
         limit = getattr(self, self.bound) - getattr(self, "modifier", 0)
         object.__setattr__(self, "_cut", limit if self._at_most else limit - 1)
 
+    def outcome_of(self, faces: Sequence[int]) -> int:
+        """The outcome of one attempt's faces."""
+        return self._row.outcome_of(self, faces)
+
     def succeeds(self, outcome: int) -> bool:
         """Whether one attempt's outcome passes the check."""
         return (outcome <= self._cut) == self._at_most
@@ -335,7 +360,7 @@ class Mechanic:
         # Outcomes lie in 0..2**63 - 1, so clamping the cut to -1..2**63 - 1 keeps every
         # comparison and fits the cut in int64, which numpy 1.x needs to compare at all.
         cut = min(max(self._cut, -1), (1 << 63) - 1)
-        return (self._outcomes_of(faces) <= cut) == self._at_most  # type: ignore[attr-defined]
+        return (self._row.outcomes_of(self, faces) <= cut) == self._at_most
 
     @property
     def dice_count(self) -> int:
@@ -345,7 +370,7 @@ class Mechanic:
     @property
     def die_sides(self) -> int:
         """Face count of each die rolled."""
-        return self.sides  # type: ignore[attr-defined]
+        return self.sides
 
     def outcome_distribution(self) -> DiscreteDist:
         """Exact distribution of the outcome variable, before the success rule.
@@ -356,7 +381,7 @@ class Mechanic:
         ``dice + 1`` for a count and ``sides`` otherwise.
         """
         _check_work(self)
-        return self._distribution()  # type: ignore[attr-defined]
+        return self._row.distribution(self)
 
 
 @dataclass(frozen=True)
@@ -473,7 +498,7 @@ def success_probability(m: Mechanic) -> Fraction:
     """
     if m.reducer != "face":
         _check_work(m)
-    ways = m._ways_at_most(m._cut)  # type: ignore[attr-defined]
+    ways = m._row.ways_at_most(m, m._cut)
     den = m.die_sides**m.dice_count
     return Fraction(ways if m._at_most else den - ways, den)
 

@@ -310,6 +310,18 @@ class TestCompare:
             0.03243874556, abs=1e-9
         )
 
+    def test_a_collapsed_grid_reads_each_point_once(self, capsys):
+        # mean +/- 6 sd spans 1201 grid indices: 3 distinct floats at 1e17, 133 (16384 apart)
+        # at 1e20.
+        code, out, err = run_cli(capsys, "compare", "--pair", "normal", "--mean", "1e17", "--scale", "1")
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [float(r[1]) for r in rows] == [0.0, 0.5, 1.0]
+        for mean, scale, points in ((1e17, 1.0, 3), (1e20, 1e5, 133)):
+            grid = normal_vs_logistic(LogisticParams(mean, scale)).grid
+            assert len(grid) == points
+            assert all(a < b for a, b in zip(grid, grid[1:]))
+
     def test_dice_rows_are_fig5(self, capsys):
         argv = ("compare", "--pair", "dice", "--mechanic", "sum", "--dice", "3", "--sides", "6")
         assert run_cli(capsys, *argv) == run_cli(capsys, "figure", "fig5")

