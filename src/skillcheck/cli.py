@@ -76,12 +76,12 @@ def _cmd_dist(args, parser) -> None:
     exact = dice.success_probability(mech) if args.success else dice.outcome_distribution(mech)
     try:  # the whole text before any of it, so that an error leaves stdout empty
         if args.success:
-            text = f"num,den,float\n{exact.numerator},{exact.denominator},{float(exact):.12g}\n"
+            text = f"num,den,float\n{exact.numerator},{exact.denominator},{_fmt(float(exact))}\n"
         else:
             text = dice.dist_to_csv(exact)
     except ValueError:  # formatting raises only at the interpreter's int-to-str digit limit
         raise ValueError(
-            f"exact {args.mechanic} masses of {mech.dice_count}d{mech.die_sides} need more than "
+            f"exact {args.mechanic} masses of {mech.dice}d{mech.sides} need more than "
             f"{sys.get_int_max_str_digits()} decimal digits, past the limit for printing an integer"
         ) from None
     print(text, end="")
@@ -157,8 +157,9 @@ def _cmd_compare(args, parser) -> None:
         names = ("x", "dice_cdf", "logistic_cdf")
     else:
         lp = compare.LogisticParams(mean=args.mean, scale=args.scale)
+        curve = compare._CURVES[args.pair](lp)
         # A summary reads only the grid points that can hold the largest gap.
-        result = compare._curve_pair(args.pair, lp, args.summary)
+        result = compare._curve_summary(lp, curve) if args.summary else compare._curve_report(lp, curve)
         names = ("x", args.pair, "logistic")
     if args.summary:
         sup, argmax = result
@@ -291,11 +292,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _parser()
-    try:
+    try:  # argparse turns a flag type's ValueError into a usage error (exit 2) itself
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         args.func(args, args.parser)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -15,10 +15,10 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterable, NamedTuple, Union
+from typing import Callable, Iterable, NamedTuple
 
 from . import _EXPORTS
-from .dice import DiscreteDist, SumRollOver
+from .dice import DiscreteDist, SumRollOver, outcome_distribution
 from .logistic import logistic_cdf, normal_cdf, sigmoid, uniform_cdf
 
 __all__ = [*_EXPORTS["compare"], "report_csv", "FIGURE_IDS"]
@@ -273,15 +273,6 @@ def _curve_summary(lp: LogisticParams, curve: _Curve) -> tuple[float, float]:
     return _largest_gap(*zip(*(read[i] for i in sorted(read))))  # the same first largest gap wins
 
 
-def _curve_pair(
-    pair: str, lp: LogisticParams, summary: bool
-) -> Union[ComparisonReport, tuple[float, float]]:
-    """The named continuous pair's full report, or with ``summary`` its
-    ``(sup_distance, argmax_point)`` alone."""
-    curve = _CURVES[pair](lp)
-    return _curve_summary(lp, curve) if summary else _curve_report(lp, curve)
-
-
 FIGURE_IDS = ("fig2", "fig3", "fig4", "fig5")
 
 # The reference chance curves plotted over modifiers -100..100 share one
@@ -343,6 +334,6 @@ def figure_data(which: str) -> str:
     if which == "fig4":
         return _fig_grid_csv("normal", lambda t: normal_cdf(t, 0.0, _FIG_SD))
     if which == "fig5":
-        report = discrete_vs_logistic(SumRollOver(3, 6).outcome_distribution())
+        report = discrete_vs_logistic(outcome_distribution(SumRollOver(3, 6)))
         return report_csv(report, ("x", "dice_cdf", "logistic_cdf"))
     raise ValueError(f"unknown figure id {which!r}; expected one of {FIGURE_IDS}")

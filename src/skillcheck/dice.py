@@ -200,7 +200,7 @@ def _work_needed(outcomes: int, bits: int) -> Optional[str]:
 
 
 def _check_work(m: "Mechanic") -> None:
-    n, sides = m.dice_count, m.die_sides
+    n, sides = m.dice, m.sides
     bits = n * (sides - 1).bit_length()  # at least the bit length of sides**dice
     need = _work_needed(m._row.outcomes(n, sides), bits)
     if need:
@@ -314,7 +314,8 @@ class Mechanic:
     probability and live sampling all share one definition.
 
     A family is a frozen dataclass with a ``sides`` field, a ``dice`` field
-    when it rolls more than one die, and two class-level facts from which
+    when it rolls more than one die (a one-die family has ``dice = 1`` as a
+    class constant), and two class-level facts from which
     ``outcome_of(faces)`` and ``succeeds(outcome)`` are made:
 
     * ``reducer``: the name of the ``_REDUCERS`` row that turns the faces of one
@@ -329,6 +330,7 @@ class Mechanic:
 
     reducer: ClassVar[str]
     bound: ClassVar[str]
+    dice: int
     sides: int
     _row: ClassVar[_Reducer]
     _at_most: ClassVar[bool]
@@ -340,10 +342,10 @@ class Mechanic:
         cls._at_most = cls.bound == "target"
 
     def __post_init__(self) -> None:
-        if self.die_sides < 2:
-            raise ValueError(f"die must have at least 2 sides, got {self.die_sides}")
-        if self.dice_count < 1:
-            raise ValueError(f"must roll at least 1 die, got {self.dice_count}")
+        if self.sides < 2:
+            raise ValueError(f"die must have at least 2 sides, got {self.sides}")
+        if self.dice < 1:
+            raise ValueError(f"must roll at least 1 die, got {self.dice}")
         limit = getattr(self, self.bound) - getattr(self, "modifier", 0)
         object.__setattr__(self, "_cut", limit if self._at_most else limit - 1)
 
@@ -362,32 +364,12 @@ class Mechanic:
         cut = min(max(self._cut, -1), (1 << 63) - 1)
         return (self._row.outcomes_of(self, faces) <= cut) == self._at_most
 
-    @property
-    def dice_count(self) -> int:
-        """Number of dice rolled per attempt."""
-        return getattr(self, "dice", 1)
-
-    @property
-    def die_sides(self) -> int:
-        """Face count of each die rolled."""
-        return self.sides
-
-    def outcome_distribution(self) -> DiscreteDist:
-        """Exact distribution of the outcome variable, before the success rule.
-
-        Raises ``ValueError`` past the work bound: ``outcomes * (bits + 64)`` above ``10**7``
-        or ``bits`` above ``2**18``, where ``bits`` is ``dice`` times the bit length of
-        ``sides - 1`` and the outcomes number ``dice * (sides - 1) + 1`` for a sum,
-        ``dice + 1`` for a count and ``sides`` otherwise.
-        """
-        _check_work(self)
-        return self._row.distribution(self)
-
 
 @dataclass(frozen=True)
 class UniformRollUnder(Mechanic):
     """Roll one die; succeed when the roll is at most the (modified) target."""
 
+    dice: ClassVar[int] = 1
     sides: int
     target: int
 
@@ -399,6 +381,7 @@ class UniformRollUnder(Mechanic):
 class UniformRollOver(Mechanic):
     """Roll one die; succeed when roll + modifier meets or beats the difficulty."""
 
+    dice: ClassVar[int] = 1
     sides: int
     modifier: int = 0
     difficulty: int = 0
@@ -464,6 +447,7 @@ class StepDie(Mechanic):
     is left to the caller, because the surveyed games do not agree on one.
     """
 
+    dice: ClassVar[int] = 1
     sides: int
     difficulty: int = 0
 
@@ -484,8 +468,15 @@ class MaxPool(Mechanic):
 
 
 def outcome_distribution(m: Mechanic) -> DiscreteDist:
-    """Exact distribution of the mechanic's outcome variable."""
-    return m.outcome_distribution()
+    """Exact distribution of the mechanic's outcome variable, before the success rule.
+
+    Raises ``ValueError`` past the work bound: ``outcomes * (bits + 64)`` above ``10**7``
+    or ``bits`` above ``2**18``, where ``bits`` is ``dice`` times the bit length of
+    ``sides - 1`` and the outcomes number ``dice * (sides - 1) + 1`` for a sum,
+    ``dice + 1`` for a count and ``sides`` otherwise.
+    """
+    _check_work(m)
+    return m._row.distribution(m)
 
 
 def success_probability(m: Mechanic) -> Fraction:
@@ -499,7 +490,7 @@ def success_probability(m: Mechanic) -> Fraction:
     if m.reducer != "face":
         _check_work(m)
     ways = m._row.ways_at_most(m, m._cut)
-    den = m.die_sides**m.dice_count
+    den = m.sides**m.dice
     return Fraction(ways if m._at_most else den - ways, den)
 
 

@@ -121,7 +121,11 @@ class FourPL:
 
     def probability(self) -> Probability:
         """Evaluate the model's success probability."""
-        core = sigmoid(self.slope * (self.ability - self.difficulty))
+        gap = self.ability - self.difficulty
+        if math.isfinite(gap):
+            core = sigmoid(self.slope * gap)
+        else:  # the gap overflows; slope * gap would be 0 * inf = nan for a slope of 0
+            core = sigmoid(self.slope * self.ability - self.slope * self.difficulty)
         return self.lower + (self.upper - self.lower) * core
 
     def to_dict(self) -> dict[str, float]:

@@ -122,9 +122,9 @@ def resolve_model(model: FourPL, rng: SplitMix64) -> CheckResult:
 
 def resolve_mechanic(mechanic: Mechanic, rng: SplitMix64) -> CheckResult:
     """Roll the mechanic's dice and apply its success rule."""
-    _check_dice(mechanic.dice_count, mechanic.die_sides)
+    _check_dice(mechanic.dice, mechanic.sides)
     p = float(success_probability(mechanic))  # before the rolls: it refuses what is past the caps
-    faces = [rng.roll_die(mechanic.die_sides) for _ in range(mechanic.dice_count)]
+    faces = [rng.roll_die(mechanic.sides) for _ in range(mechanic.dice)]
     outcome = mechanic.outcome_of(faces)
     return CheckResult(success=mechanic.succeeds(outcome), probability_used=p, raw_roll=outcome)
 
@@ -138,7 +138,7 @@ def _model_flags(p: float, n: int, rng: SplitMix64) -> Iterator:
 def _mechanic_flags(m: Mechanic, n: int, rng: SplitMix64) -> Iterator:
     import numpy as np
 
-    sides, dice = m.die_sides, m.dice_count
+    sides, dice = m.sides, m.dice
     limit = _limit(sides)
     pending, have = [], 0  # accepted faces of unfinished trials, joined once one completes
     while n:
@@ -167,7 +167,7 @@ def _successes(target: Union[FourPL, Mechanic], n: int, rng: SplitMix64) -> Iter
         raise ValueError(f"trial count must be nonnegative, got {n}")
     if isinstance(target, FourPL):
         return _model_flags(target.probability(), n, rng)
-    _check_dice(target.dice_count, target.die_sides)
+    _check_dice(target.dice, target.sides)
     return _mechanic_flags(target, n, rng)
 
 

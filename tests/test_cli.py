@@ -179,6 +179,15 @@ class TestCheck:
         assert code == 0
         assert out == "success,probability,raw_roll\n1,1,\n"
 
+    # The gap overflows a float. Slope 0 printed nan, and slope 1e-308 printed 1.
+    @pytest.mark.parametrize("slope,shown", [("0", "0.5"), ("1e-308", "0.880797077978")])
+    def test_a_model_whose_gap_overflows(self, capsys, slope, shown):
+        model = f'{{"ability":1e308,"difficulty":-1e308,"slope":{slope}}}'
+        code, out, _ = run_cli(capsys, "check", "--model", model, "--seed", "1")
+        assert (code, out.splitlines()[1].split(",")[1:]) == (0, [shown, ""])
+        code, out, _ = run_cli(capsys, "simulate", "--model", model, "--n", "0", "--seed", "1", "--aggregate")
+        assert (code, out) == (0, f"n,successes,rate,exact_probability\n0,0,0,{shown}\n")
+
     def test_seed_required(self, capsys):
         code, _, _ = run_cli(capsys, "check", "--mechanic", "step", "--sides", "8")
         assert code == 2
@@ -568,6 +577,13 @@ class TestSimulate:
         )
         assert code == 0
         assert out.startswith("n,successes,rate,exact_probability\n100,")
+
+    def test_a_zero_slope_model_whose_gap_overflows_is_a_coin(self, capsys):
+        argv = ("simulate", "--n", "300", "--seed", "3", "--model")
+        _, out, _ = run_cli(capsys, *argv, '{"ability":1e308,"difficulty":-1e308,"slope":0}')
+        _, coin, _ = run_cli(capsys, *argv, '{"ability":0,"difficulty":0}')
+        assert out == coin
+        assert 100 < coin.count(",1\n") < 200
 
     def test_seed_required(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--mechanic", "step", "--sides", "6", "--n", "5")

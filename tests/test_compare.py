@@ -50,8 +50,11 @@ def three_d6():
 
 
 def built(d):
-    """``d``, or the distribution of ``d`` if it is a mechanic (examples name mechanics)."""
-    return outcome_distribution(d) if isinstance(d, Mechanic) else d
+    """``d``; the distribution of ``d`` if it is a mechanic, or what ``d()`` builds if it is
+    a function. Examples name what they build, so that nothing is built at import."""
+    if isinstance(d, Mechanic):
+        return outcome_distribution(d)
+    return d() if callable(d) else d
 
 
 # Regression baselines, frozen from direct evaluation (see oracles below).
@@ -293,10 +296,10 @@ def gapped_distributions(draw):
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(gapped_distributions())
-@example(DiscreteDist((0, 3, 10), (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))))
-@example(DiscreteDist((-40, 40), (Fraction(1, 3), Fraction(2, 3))))
+@example(lambda: DiscreteDist((0, 3, 10), (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))))
+@example(lambda: DiscreteDist((-40, 40), (Fraction(1, 3), Fraction(2, 3))))
 @example(SumRollOver(3, 6))
-@example(die(1000))
+@example(lambda: die(1000))
 @example(SumRollOver(16, 20))
 def test_discrete_vs_logistic_matches_the_bisect_report(d):
     d = built(d)
@@ -314,7 +317,7 @@ def wide_distributions(draw):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.one_of(wide_distributions(), gapped_distributions()))
 @example(SumRollOver(3, 6))
-@example(die(1000))
+@example(lambda: die(1000))
 @example(MaxPool(1700, 3))
 def test_matched_moments_are_the_floats_of_the_fractions(d):
     d = built(d)

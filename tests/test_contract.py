@@ -16,6 +16,12 @@ The library's die entry points get the same treatment: each mechanic constructor
 is drawn with every int argument from the same edges and the work bound's own,
 and ``outcome_distribution`` and ``success_probability`` must give a value or a
 ``ValueError``, never another exception.
+
+So do its float entry points, every float argument drawn from the same edges:
+``FourPL``, ``LogisticParams``, ``update``, ``update_reliable``, ``Rating`` with
+``elo_update``, and ``fit_rasch`` and ``RaschEstimator`` on logs of a few records.
+Each gives finite values (infinite odds are documented), or a ``ValueError``
+with a one-line message. A fit warns only of what ``fit_rasch`` documents.
 """
 
 import contextlib
@@ -31,7 +37,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skillcheck import cli
+from skillcheck.compare import LogisticParams, match_normal_to_logistic, match_uniform_to_logistic
 from skillcheck.dice import outcome_distribution, success_probability
+from skillcheck.estimate import OutcomeRecord, RaschEstimator, _warnings, fit_rasch
+from skillcheck.evidence import update, update_reliable
+from skillcheck.logistic import FourPL
+from skillcheck.resolve import Rating, elo_expected, elo_update
 
 EDGES = ("nan", "-nan", "inf", "-inf", "0", "1e308", "-1e308", "1e-308", "-1e-308",
          "1e-400", "-1e-400", "5e-324", "-2.5", "-1e-5")
@@ -191,3 +202,95 @@ def test_every_mechanic_answers_or_raises_value_error(drawn):
         outcome_distribution(mechanic)
     with contextlib.suppress(ValueError):
         assert 0 <= success_probability(mechanic) <= 1
+
+
+# --- the library's float entry points ------------------------------------------
+
+# The CLI's edges as floats, with asymptotes inside [0, 1] and the fit's slope bounds.
+FLOATS = st.sampled_from([*(float(v) for v in EDGES), 0.25, 0.5, 1.0, 1e144, 2e154])
+LIBRARY = settings(max_examples=300, derandomize=True, deadline=timedelta(seconds=5))
+
+
+def edge_or(default):
+    """An edge or ``default``, so that most draws of several arguments make a valid call."""
+    return st.one_of(st.just(default), FLOATS)
+
+
+def answer(call):
+    """``call()``, or None if it raises a ``ValueError`` with a one-line message."""
+    try:
+        return call()
+    except ValueError as exc:
+        assert str(exc) and "\n" not in str(exc), exc
+        return None
+
+
+def finite(*values):
+    return all(math.isfinite(v) for v in values)
+
+
+@LIBRARY
+@given(FLOATS, FLOATS, edge_or(1.0), edge_or(0.0), edge_or(1.0))
+# slope * (ability - difficulty) was 0 * inf = nan.
+@example(1e308, -1e308, 0.0, 0.0, 1.0)
+@example(-1e308, 1e308, 0.0, 0.25, 0.5)
+def test_every_logistic_model_answers_or_raises_value_error(ability, difficulty, slope, lower, upper):
+    model = answer(lambda: FourPL(ability, difficulty, slope, lower, upper))
+    if model is not None:
+        assert 0.0 <= model.probability() <= 1.0, model
+
+
+@LIBRARY
+@given(FLOATS, edge_or(1.0), FLOATS)
+def test_every_logistic_match_answers_or_raises_value_error(mean, scale, t):
+    lp = answer(lambda: LogisticParams(mean, scale))
+    if lp is not None:
+        assert finite(lp.variance, lp.sd, *match_normal_to_logistic(lp), *match_uniform_to_logistic(lp))
+        if not math.isnan(t):  # a nan point has no defined chance; out of scope
+            assert 0.0 <= lp.cdf(t) <= 1.0
+
+
+@LIBRARY
+@given(FLOATS, st.lists(FLOATS, max_size=3), FLOATS)
+def test_every_odds_update_answers_or_raises_value_error(prior, factors, reliability):
+    for odds in (answer(lambda: update(prior, factors)),
+                 answer(lambda: update_reliable(prior, factors[0], reliability)) if factors else None):
+        assert odds is None or odds >= 0.0  # +inf is certainty, documented; nan fails
+
+
+@LIBRARY
+@given(FLOATS, FLOATS, edge_or(32.0), st.sampled_from([0.0, 0.5, 1.0, 2.0, math.nan]))
+def test_every_elo_update_answers_or_raises_value_error(a, b, k, score):
+    if not math.isnan(a - b):
+        assert 0.0 <= elo_expected(a, b) <= 1.0
+    ra, rb = answer(lambda: Rating(a, k)), answer(lambda: Rating(b, k))
+    if ra is not None and rb is not None:
+        pair = answer(lambda: elo_update(ra, rb, score))
+        assert pair is None or finite(pair[0].value, pair[1].value)
+
+
+@st.composite
+def tiny_logs(draw):
+    """One to six records among two or three people and two tasks."""
+    cells = st.tuples(st.sampled_from("abc"), st.sampled_from(["t1", "t2"]), st.booleans())
+    return [OutcomeRecord(*cell) for cell in draw(st.lists(cells, min_size=1, max_size=6))]
+
+
+@settings(max_examples=300, derandomize=True, deadline=timedelta(seconds=5))
+@given(tiny_logs(), edge_or(1.0), edge_or(0.01), edge_or(1e-8), st.sampled_from([0, 1, 3, 500]))
+def test_every_fit_of_a_tiny_log_answers_or_raises_value_error(records, slope, ridge, tol, max_iter):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = answer(lambda: fit_rasch(records, slope=slope, ridge=ridge, max_iter=max_iter, tol=tol))
+    if result is None:
+        assert not caught
+        return
+    assert {str(w.message) for w in caught} <= set(_warnings(result, ridge))
+    assert finite(result.log_likelihood, *result.abilities.values(), *result.difficulties.values())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the fit's own, checked above
+        estimator = RaschEstimator(slope=slope, ridge=ridge, max_iter=max_iter, tol=tol).fit(records)
+    assert estimator.result_ == result
+    for person in estimator.abilities_:
+        for task in estimator.difficulties_:
+            assert 0.0 <= estimator.predict_proba(person, task) <= 1.0

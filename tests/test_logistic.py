@@ -148,6 +148,13 @@ class TestFourPL:
         assert model.probability() == expected
         assert model.probability() == flat.probability()
 
+    # The gap overflows a float. Slope 0 made 0 * inf = nan, and slope 1e-308 made 1.
+    @pytest.mark.parametrize("slope,expected", [(0.0, 0.5), (1e-308, sigmoid(2.0))])
+    def test_an_overflowing_gap_still_meets_the_slope(self, slope, expected):
+        assert FourPL(1e308, -1e308, slope=slope).probability() == pytest.approx(expected, abs=1e-15)
+        assert FourPL(-1e308, 1e308, slope=slope).probability() == pytest.approx(1 - expected, abs=1e-15)
+        assert FourPL(1e308, -1e308).probability() == 1.0
+
     def test_guessing_floor(self):
         model = FourPL(ability=-50.0, difficulty=0.0, lower=0.25)
         assert model.probability() == pytest.approx(0.25, abs=1e-10)

@@ -198,7 +198,7 @@ class TestBatchSampler:
         "draws,seed", [(0, -7), (1, 2**64 + 12345), (8191, -7), (8192, 2**64 + 12345), (8193, -1)]
     )
     def test_matches_scalar_calls(self, target, draws, seed):
-        n = -(-draws // getattr(target, "dice_count", 1))
+        n = -(-draws // getattr(target, "dice", 1))
         batch, scalar = SplitMix64(seed), SplitMix64(seed)
         assert batch_flags(target, n, batch) == scalar_flags(target, n, scalar)
         assert batch.next_uint64() == scalar.next_uint64()
@@ -213,7 +213,7 @@ class TestBatchSampler:
 
     @pytest.mark.parametrize("target", TARGETS + [REJECTING], ids=lambda t: type(t).__name__)
     def test_batch_and_scalar_calls_mix(self, target):
-        n = 9000 // getattr(target, "dice_count", 1)  # more than one block of draws
+        n = 9000 // getattr(target, "dice", 1)  # more than one block of draws
         mixed, scalar = SplitMix64(2**64 + 5), SplitMix64(2**64 + 5)
         got = scalar_flags(target, 3, mixed) + batch_flags(target, n, mixed)
         got += scalar_flags(target, 2, mixed) + batch_flags(target, 5, mixed)
@@ -245,7 +245,7 @@ class TestBatchSampler:
             m, seed = MaxPool(dice=dice, sides=sides, difficulty=round(sides * 0.5 ** (1 / dice))), 13
         n = 8
         batch, scalar = SplitMix64(seed), SplitMix64(seed)
-        rolls = [[scalar.roll_die(m.die_sides) for _ in range(dice)] for _ in range(n)]
+        rolls = [[scalar.roll_die(m.sides) for _ in range(dice)] for _ in range(n)]
         expected = [m.succeeds(m.outcome_of(faces)) for faces in rolls]
         assert batch_flags(m, n, batch) == expected
         assert batch._state == scalar._state
@@ -304,7 +304,7 @@ class TestDomainBound:
         ids=repr,
     )
     def test_a_cut_past_int64_is_all_or_nothing(self, mech, always):
-        n = 9000 // mech.dice_count  # more than one block of draws
+        n = 9000 // mech.dice  # more than one block of draws
         batch, scalar = SplitMix64(11), SplitMix64(11)
         assert simulate_count(mech, n, batch) == (n if always else 0)
         assert scalar_flags(mech, n, scalar) == [always] * n
