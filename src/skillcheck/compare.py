@@ -161,7 +161,7 @@ def discrete_vs_logistic(d: DiscreteDist) -> ComparisonReport:
 
 def _default_grid(lp: LogisticParams) -> tuple[float, float, float]:
     # 1201 points spanning mean +/- 6 sd: stable to ~1e-4 in the reported
-    # supremum. A summary reads 74 of them for the normal pair and 65 for the
+    # supremum. A summary reads 72 of them for the normal pair and 64 for the
     # uniform (_curve_summary).
     sd = lp.sd
     lo, hi = lp.mean - 6.0 * sd, lp.mean + 6.0 * sd
@@ -219,58 +219,52 @@ def uniform_vs_logistic(lp: LogisticParams) -> ComparisonReport:
     return _curve_report(lp, _uniform_curve(lp))
 
 
-# Every _STRIDE-th point of the default grid is read first, and a stretch of at most _LEAF
-# steps that cannot be skipped is read in full. _SLACK covers the rounding of each CDF (a few
-# units in the last place of 1) and of the bound itself, with room to spare.
+# Every _STRIDE-th point of the default grid is read first. _SLACK covers the rounding of each
+# CDF (a few units in the last place of 1) and of the bound itself, with room to spare.
 _STRIDE = 40
-_LEAF = 4
 _SLACK = 1e-12
 
 
 def _curve_summary(lp: LogisticParams, curve: _Curve) -> tuple[float, float]:
     """``_curve_report(lp, curve)``'s ``(sup_distance, argmax_point)``, bit for bit, from
-    74 of the grid's 1201 points for the normal pair and 65 for the uniform.
+    72 of the grid's 1201 points for the normal pair and 64 for the uniform.
 
     Reads every _STRIDE-th grid point and the last; the largest gap read is a floor.
     Between two read points a and b, |f| is at most max(|f(a)|, |f(b)|) plus
     M2 * (b - a)**2 / 8, with M2 the curve's bound on |f''|; a stretch whose bound stays
     under the floor holds no point that can reach it, let alone tie the first maximum,
-    and is skipped. Any other stretch is read in full if it spans at most _LEAF steps, and
-    otherwise split at its middle point, which is read and may raise the floor (branch and
-    bound). A stretch holding a kink is never skipped, and neither is one whose bound is
-    not finite.
+    and is skipped. Any other stretch with a point inside is split at its middle point,
+    which is read and may raise the floor (branch and bound). A stretch holding a kink is
+    never skipped, and neither is one whose bound is not finite.
     """
     lo, hi, step = _default_grid(lp)
     count = _grid_count(lo, hi, step)
     fa, fb = curve.cdf, lp.cdf
-    read: dict[int, tuple[float, float, float]] = {}  # grid index to (x, cdf, logistic cdf)
+    read: dict[int, tuple[float, float, float, float]] = {}  # index to (x, cdf, logistic, gap)
 
     def gap(i: int) -> float:
         x = lo + i * step
         a, b = fa(x), fb(x)
-        read[i] = x, a, b
-        return abs(a - b)
+        read[i] = x, a, b, abs(a - b)
+        return read[i][3]
 
     ends = [*range(0, count - 1, _STRIDE), count - 1]
-    gaps = {i: gap(i) for i in ends}
-    floor = max(gaps.values())
+    floor = max(map(gap, ends))
     stretches = list(zip(ends, ends[1:]))
     while stretches:
         a, b = stretches.pop()
+        if b - a < 2:
+            continue  # no grid point inside
         xa, xb = read[a][0], read[b][0]
         h = (xb - xa) / lp.scale
-        bound = max(gaps[a], gaps[b]) + curve.bend * h * h / 8.0 + _SLACK
+        bound = max(read[a][3], read[b][3]) + curve.bend * h * h / 8.0 + _SLACK
         if bound < floor and not any(xa <= k <= xb for k in curve.kinks):
             continue
-        if b - a <= _LEAF:
-            for i in range(a + 1, b):
-                gap(i)
-        else:
-            m = (a + b) // 2
-            gaps[m] = gap(m)
-            floor = max(floor, gaps[m])
-            stretches += [(a, m), (m, b)]
-    return _largest_gap(*zip(*(read[i] for i in sorted(read))))  # the same first largest gap wins
+        m = (a + b) // 2
+        floor = max(floor, gap(m))
+        stretches += [(a, m), (m, b)]
+    grid, va, vb, _ = zip(*(read[i] for i in sorted(read)))
+    return _largest_gap(grid, va, vb)  # the same first largest gap wins
 
 
 FIGURE_IDS = ("fig2", "fig3", "fig4", "fig5")

@@ -160,7 +160,7 @@ class _Kernel:
     def sums(self, v: np.ndarray) -> np.ndarray:
         """Per-identifier float64 totals of a per-cell quantity, summed in cell order."""
         sums = np.r_[np.bincount(self.cp, v, self.n_p), np.bincount(self.ct, v, self.n_t)]
-        return sums.astype(float, copy=False)  # bincount of no weights is int64
+        return sums.astype(float, copy=False)  # bincount over no cells is int64, weights or not
 
     def at(self, w: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
         """Log-likelihood, objective, gradient and cell success chances at ``w``.

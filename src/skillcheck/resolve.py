@@ -223,8 +223,8 @@ def elo_update(ra: Rating, rb: Rating, score_a: float) -> tuple[Rating, Rating]:
     """Update a pair of ratings after one game; score_a is 1, 0.5 or 0.
 
     Both players must share a k_factor: the pair's total rating is conserved
-    by construction (B's new value is derived from the pair total), and
-    mixed gains would break that.
+    by construction (B's new value is derived from the pair total, or from
+    A's gain when the total overflows a float), and mixed gains would break that.
     """
     if score_a not in (0.0, 0.5, 1.0):
         raise ValueError(f"score must be 0, 0.5 or 1, got {score_a}")
@@ -234,6 +234,6 @@ def elo_update(ra: Rating, rb: Rating, score_a: float) -> tuple[Rating, Rating]:
             "rating conservation"
         )
     total = ra.value + rb.value
-    expected = elo_expected(ra.value, rb.value)
-    new_a = ra.value + ra.k_factor * (score_a - expected)
-    return Rating(new_a, ra.k_factor), Rating(total - new_a, rb.k_factor)
+    new_a = ra.value + ra.k_factor * (score_a - elo_expected(ra.value, rb.value))
+    new_b = total - new_a if math.isfinite(total) else rb.value - (new_a - ra.value)
+    return Rating(new_a, ra.k_factor), Rating(new_b, rb.k_factor)

@@ -4,7 +4,9 @@
     python tests/same_bytes.py diff OLD.json NEW.json
 
 ``hash`` builds the command lines of ``bench/workloads.py`` at seeds 1-3, the
-warm-ups included. It runs each distinct one once through ``skillcheck.cli.main``
+warm-ups included. To reach code the workloads never run, it adds each curve
+``--summary`` command line again without ``--summary`` (the full report), and the
+fixed ``EDGES``. It runs each distinct one once through ``skillcheck.cli.main``
 in this process and writes ``{command line: sha256 of exit code, stdout and
 stderr}`` as JSON. ``--src`` names the source tree to import ``skillcheck`` from
 (this checkout's ``src`` by default), so that one checkout's command lines can be
@@ -35,23 +37,49 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
 SHOWN = 10  # differing command lines that ``diff`` prints
 
+# Domain edges and warnings, with the fit logs they read (written beside the workloads').
+LOGS = {
+    "disconnected.csv": "person,task,success\na,t1,1\na,t1,0\nb,t2,1\nb,t2,0\n",
+    "all_success.csv": "person,task,success\na,t1,1\nb,t2,1\n",
+}
+EDGES = [
+    ["opposed", "--rating-a", "1e308", "--rating-b", "1e308", "--score", "1"],
+    ["opposed", "--rating-a", "1e308", "--rating-b", "1e308", "--score", "1", "--k", "1e308"],
+    ["opposed", "--rating-a", "-1e308", "--rating-b", "-1e308", "--score", "0.5"],
+    ["check", "--model", '{"ability":1e308,"difficulty":-1e308,"slope":0}', "--seed", "1"],
+    ["compare", "--pair", "normal", "--mean", "1e17", "--scale", "1"],
+    ["compare", "--pair", "uniform", "--mean", "1e15", "--scale", "1"],
+    ["compare", "--pair", "uniform", "--mean", "1e15", "--scale", "1", "--summary"],
+    ["compare", "--pair", "normal", "--mean", "1e308", "--scale", "1e307", "--summary"],
+    ["fit", "--input", "disconnected.csv"],
+    ["fit", "--input", "all_success.csv", "--ridge", "0"],
+]
+
 
 def command_lines() -> dict[str, list[str]]:
-    """Every distinct command line of the workloads at SEEDS, keyed by its shell form.
+    """Every distinct command line of the workloads at SEEDS, then the full curve reports
+    and EDGES, keyed by its shell form.
 
     Writes the fit logs under the working directory.
     """
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
 
-    lines: dict[str, list[str]] = {}
+    argvs: list[list[str]] = []
     for name in workloads.WORKLOADS:
         for seed in SEEDS:
             folder = Path(f"{name}-{seed}")
             folder.mkdir()
             workload = workloads.build(name, seed, folder)
-            for argv in [*workload.warmup, *(op.argv for op in workload.ops)]:
-                lines.setdefault(shlex.join(argv), argv)
+            argvs += [*workload.warmup, *(op.argv for op in workload.ops)]
+    for argv in list(argvs):
+        if argv[:3] in (["compare", "--pair", "normal"], ["compare", "--pair", "uniform"]):
+            argvs.append([a for a in argv if a != "--summary"])
+    for log, text in LOGS.items():
+        Path(log).write_text(text)
+    lines: dict[str, list[str]] = {}
+    for argv in [*argvs, *EDGES]:
+        lines.setdefault(shlex.join(argv), argv)
     return lines
 
 

@@ -679,6 +679,11 @@ class TestDomainEdges:
             (("opposed", "--rating-a", "0", "--rating-b", "1000000"), "expected_a\n0\n"),
             (("opposed", "--rating-a", "1000000", "--rating-b", "0"), "expected_a\n1\n"),
             (("opposed", "--skill-a", "1e308", "--skill-b", "1e308"), "probability\n0.5\n"),
+            # The pair's total overflows a float, but both new ratings are finite.
+            (("opposed", "--rating-a", "1e308", "--rating-b", "1e308", "--score", "1"),
+             "expected_a,new_rating_a,new_rating_b\n0.5,1e+308,1e+308\n"),
+            (("opposed", "--rating-a", "1e308", "--rating-b", "1e308", "--score", "1",
+              "--k", "1e308"), "expected_a,new_rating_a,new_rating_b\n0.5,1.5e+308,5e+307\n"),
         ],
     )
     def test_overflow_prints_the_limit(self, capsys, argv, expected):

@@ -507,8 +507,10 @@ def test_a_stretch_whose_bound_only_reaches_the_floor_is_read():
 
 
 def test_a_midpoint_read_raises_the_floor():
-    # The normal pair's grid maximum at (0, 1), index 532, is the middle of the stretch
-    # (530, 535) and beats every point read first, so reading it raises the floor.
+    # The normal pair's grid maximum at (0, 1) ties at indices 532 and 668, mirror images
+    # about the mean, and beats every point read first. The search reads 668 first, as the
+    # middle of the stretch (667, 670), and that read raises the floor; 532, the middle of
+    # (530, 535), ties it and is the first maximum in grid order.
     lp = LogisticParams(0.0, 1.0)
     curve = _CURVES["normal"](lp)
     report = _curve_report(lp, curve)
@@ -521,11 +523,11 @@ def test_a_midpoint_read_raises_the_floor():
 
 @pytest.mark.parametrize("pair", sorted(_CURVES))
 def test_summary_reads_a_fraction_of_the_grid(pair):
-    # 74 points for the normal and 65 for the uniform; if midpoint reads never raised the
-    # floor, the normal would read 98.
+    # 72 points for the normal and 64 for the uniform; if midpoint reads never raised the
+    # floor, the normal would read 98 and the uniform 72.
     lp = LogisticParams(0.0, 1.0)
     curve = _CURVES[pair](lp)
     read = []
     _curve_summary(lp, curve._replace(cdf=lambda t: read.append(t) or curve.cdf(t)))
     assert len(_curve_report(lp, curve).grid) == 1201
-    assert len(read) <= 80
+    assert len(read) == {"normal": 72, "uniform": 64}[pair]

@@ -384,6 +384,16 @@ class TestElo:
         a, b = elo_update(Rating(0.0), Rating(1e6), 1.0)
         assert (a.value, b.value) == (32.0, 1e6 - 32.0)
 
+    @pytest.mark.parametrize(
+        "value,k,score,expected",
+        [(1e308, 32.0, 1.0, (1e308, 1e308)),  # 1e308 +/- 16 round to 1e308
+         (1e308, 1e308, 1.0, (1.5e308, 5e307)),
+         (-1e308, 32.0, 0.5, (-1e308, -1e308))],
+    )
+    def test_overflowing_total_keeps_finite_ratings(self, value, k, score, expected):
+        a, b = elo_update(Rating(value, k), Rating(value, k), score)
+        assert (a.value, b.value) == expected
+
     def test_undefined_gap_rejected(self):
         with pytest.raises(ValueError):
             elo_expected(math.inf, math.inf)
