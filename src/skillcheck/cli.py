@@ -249,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_evidence)
 
     p = sub.add_parser("compare", help="sup distance between matched chance curves")
-    p.add_argument("--pair", choices=("normal", "uniform", "dice"), required=True)
+    p.add_argument("--pair", choices=(*compare._CURVES, "dice"), required=True)
     p.add_argument("--mean", type=float, default=0.0, help="logistic mean (default 0)")
     p.add_argument("--scale", type=float, default=1.0, help="logistic scale (default 1)")
     p.add_argument("--summary", action="store_true", help="print only sup distance and argmax")
@@ -297,7 +297,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args.func(args, args.parser)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -269,12 +269,10 @@ def _curve_summary(lp: LogisticParams, curve: _Curve) -> tuple[float, float]:
 
 FIGURE_IDS = ("fig2", "fig3", "fig4", "fig5")
 
-# The reference chance curves plotted over modifiers -100..100 share one
-# variance: that of a uniform spanning +/-50 percentage points around an
-# even-odds base chance.
-_FIG_HALFWIDTH = 50.0
-_FIG_SCALE = _FIG_HALFWIDTH / math.pi
-_FIG_SD = _FIG_HALFWIDTH / math.sqrt(3.0)
+# Figures 3 and 4 plot this logistic's matched curves over modifiers -100..100: it is the
+# logistic whose variance-matched uniform spans +/-50 percentage points around an even-odds
+# base chance.
+_FIG_LOGISTIC = LogisticParams(mean=0.0, scale=50.0 / math.pi)
 
 
 def _fmt(x: float) -> str:
@@ -307,12 +305,6 @@ def _fig2() -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fig_grid_csv(name: str, other: Callable[[float], float]) -> str:
-    grid = tuple(float(m) for m in range(-100, 101))
-    report = _report(grid, [logistic_cdf(t, 0.0, _FIG_SCALE) for t in grid], map(other, grid))
-    return report_csv(report, ("modifier", "logistic", name))
-
-
 def figure_data(which: str) -> str:
     """CSV series behind each reference figure.
 
@@ -323,10 +315,10 @@ def figure_data(which: str) -> str:
     """
     if which == "fig2":
         return _fig2()
-    if which == "fig3":
-        return _fig_grid_csv("uniform", lambda t: uniform_cdf(t, 0.0, _FIG_HALFWIDTH))
-    if which == "fig4":
-        return _fig_grid_csv("normal", lambda t: normal_cdf(t, 0.0, _FIG_SD))
+    if which in ("fig3", "fig4"):
+        pair = "uniform" if which == "fig3" else "normal"
+        report = sup_distance(_FIG_LOGISTIC.cdf, _CURVES[pair](_FIG_LOGISTIC).cdf, -100.0, 100.0, 1.0)
+        return report_csv(report, ("modifier", "logistic", pair))
     if which == "fig5":
         report = discrete_vs_logistic(outcome_distribution(SumRollOver(3, 6)))
         return report_csv(report, ("x", "dice_cdf", "logistic_cdf"))

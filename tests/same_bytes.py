@@ -6,13 +6,14 @@
 ``hash`` builds the command lines of ``bench/workloads.py`` at seeds 1-3, the
 warm-ups included. To reach code the workloads never run, it adds each curve
 ``--summary`` command line again without ``--summary`` (the full report), and the
-fixed ``EDGES``. It runs each distinct one once through ``skillcheck.cli.main``
-in this process and writes ``{command line: sha256 of exit code, stdout and
-stderr}`` as JSON. ``--src`` names the source tree to import ``skillcheck`` from
-(this checkout's ``src`` by default), so that one checkout's command lines can be
-run against another's code, one process each. The fit logs are written to a
-temporary directory and named relative to it, so two runs give the same command
-lines.
+fixed ``EDGES``: domain edges, warnings, and the top-level and every subcommand's
+``--help`` (wrapped at ``COLUMNS=80``, whatever the terminal). It runs each
+distinct one once through ``skillcheck.cli.main`` in this process and writes
+``{command line: sha256 of exit code, stdout and stderr}`` as JSON. ``--src``
+names the source tree to import ``skillcheck`` from (this checkout's ``src`` by
+default), so that one checkout's command lines can be run against another's code,
+one process each. The fit logs are written to a temporary directory and named
+relative to it, so two runs give the same command lines.
 
 ``diff`` prints how many command lines differ between two such files (one missing
 from either file counts), then the first few of them. It exits 1 if any differ.
@@ -37,6 +38,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
 SHOWN = 10  # differing command lines that ``diff`` prints
 
+# Every subcommand, each of whose ``--help`` is in EDGES.
+SUBCOMMANDS = ("dist", "check", "opposed", "grade", "evidence", "compare", "figure", "fit", "simulate")
+
 # Domain edges and warnings, with the fit logs they read (written beside the workloads').
 LOGS = {
     "disconnected.csv": "person,task,success\na,t1,1\na,t1,0\nb,t2,1\nb,t2,0\n",
@@ -53,6 +57,8 @@ EDGES = [
     ["compare", "--pair", "normal", "--mean", "1e308", "--scale", "1e307", "--summary"],
     ["fit", "--input", "disconnected.csv"],
     ["fit", "--input", "all_success.csv", "--ridge", "0"],
+    ["--help"],
+    *([command, "--help"] for command in SUBCOMMANDS),
 ]
 
 
@@ -96,6 +102,7 @@ def digest(cli, argv: list[str]) -> str:
 def hash_outputs(out: Path, src: Path) -> None:
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(name, "1")  # before numpy is first imported
+    os.environ["COLUMNS"] = "80"  # argparse wraps help text to the terminal's width
     sys.path.insert(0, str(src))
     from skillcheck import cli
 
