@@ -370,6 +370,11 @@ class TestFigure:
         assert out == figure_data(which)
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[which]
 
+    def test_byte_identical_across_runs(self, capsys):
+        _, out1, _ = run_cli(capsys, "figure", "fig4")
+        _, out2, _ = run_cli(capsys, "figure", "fig4")
+        assert out1 == out2
+
     def test_unknown_figure_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "figure", "fig7")
         assert code == 2
