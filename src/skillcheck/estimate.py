@@ -19,8 +19,9 @@ from __future__ import annotations
 import csv
 import json
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
-from typing import IO, Iterator, Mapping, Sequence, Union
+from typing import IO, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -153,13 +154,17 @@ class _Kernel:
         self.cp, self.ct = np.divmod(cells, self.n_t)
         self.y = np.bincount(at, np.fromiter(success, float, len(success)), len(cells))
         self.n = np.bincount(at, minlength=len(cells)).astype(float)
-        # One slope lookup per task with records; other tasks need none.
-        used, at = np.unique(self.ct, return_inverse=True)
-        self.r = np.array([_slope_for(tasks[j], slope) for j in used.tolist()])[at]
+        if isinstance(slope, Mapping):  # one lookup per task with records; other tasks need none
+            used = np.flatnonzero(np.bincount(self.ct, minlength=self.n_t))
+            rates = np.zeros(self.n_t)
+            rates[used] = [_slope_for(tasks[j], slope) for j in used.tolist()]
+            self.r = rates[self.ct]
+        else:  # one check, and none without records
+            self.r = np.full(len(cells), _slope_for("", slope) if len(cells) else 0.0)
 
     def sums(self, v: np.ndarray) -> np.ndarray:
         """Per-identifier float64 totals of a per-cell quantity, summed in cell order."""
-        sums = np.r_[np.bincount(self.cp, v, self.n_p), np.bincount(self.ct, v, self.n_t)]
+        sums = np.concatenate((np.bincount(self.cp, v, self.n_p), np.bincount(self.ct, v, self.n_t)))
         return sums.astype(float, copy=False)  # bincount over no cells is int64, weights or not
 
     def at(self, w: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
@@ -168,11 +173,18 @@ class _Kernel:
         One pass over the cells. The objective is the unpenalized data
         log-likelihood minus ridge/2 times the squared norm of ``w``.
         """
-        z = self.r * (w[self.cp] - w[self.n_p + self.ct])
-        # y*ln(p) + (n-y)*ln(1-p) via stable log(1 + e^(+/-z))
-        ll = -(self.y * np.logaddexp(0.0, -z) + (self.n - self.y) * np.logaddexp(0.0, z)).sum()
+        z = self.r * (w[self.cp] - w[self.n_p :][self.ct])
+        # y*ln(p) + (n-y)*ln(1-p) = -(y*ln(1 + e^-z) + (n-y)*ln(1 + e^z)). numpy's
+        # logaddexp(0, x) is max(x, 0) + log1p(exp(-|x|)) with scalar libm calls, so
+        # logaddexp(0, +/-z) = max(+/-z, 0) + logaddexp(0, -|z|) bit for bit, +/-0, +/-inf
+        # and nan included: one logarithm per cell. A vector log1p(exp(-|z|)) rounds
+        # otherwise and would change the fitted bits. -|z| is formed twice and ``soft`` is
+        # dropped early, so that at most five cell-sized temporaries are alive at once.
+        soft = np.logaddexp(0.0, -np.abs(z))
+        ll = -(self.y * (np.maximum(-z, 0.0) + soft) + (self.n - self.y) * (np.maximum(z, 0.0) + soft)).sum()
+        del soft
         ez = np.exp(-np.abs(z))
-        p = np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+        p = np.where(z >= 0, 1.0, ez) / (1.0 + ez)
         g = self.sums(self.r * (self.y - self.n * p))
         g[self.n_p :] *= -1.0  # a success lowers its task's logit
         return ll, ll - 0.5 * self.ridge * float(w @ w), g - self.ridge * w, p
@@ -198,10 +210,10 @@ class _Kernel:
             root = np.sqrt(-d_big)
             x = c / root[:, None]
             s = x.T @ x
-            s.flat[:: len(d_small) + 1] += d_small
+            s.reshape(-1)[:: len(d_small) + 1] += d_small
             x_small = np.linalg.solve(s, -g_small - x.T @ (g_big / root))
             x_big = (-g_big - c @ x_small) / d_big
-        return np.r_[x_small, x_big] if tasks_big else np.r_[x_big, x_small]
+        return np.concatenate((x_small, x_big) if tasks_big else (x_big, x_small))
 
     def connected(self) -> bool:
         """Whether the cells join every person and task into one component.
@@ -321,13 +333,13 @@ def _fit(columns: _Columns, *, slope: SlopeSpec, ridge: float, max_iter: int, to
     trace = [obj]
     iterations = 0
     while True:
-        g_max = float(np.max(np.abs(g)))
+        g_max = float(np.abs(g).max())
         converged = g_max < tol
         if converged or iterations >= max_iter:
             break
         try:
             direction = kernel.newton(g, p)
-            if not np.all(np.isfinite(direction)):
+            if not np.isfinite(direction).all():
                 raise np.linalg.LinAlgError
         except np.linalg.LinAlgError:
             direction = g
@@ -339,7 +351,7 @@ def _fit(columns: _Columns, *, slope: SlopeSpec, ridge: float, max_iter: int, to
             candidate = w + t * direction
             _, cand_obj, cand_g, cand_p = kernel.at(candidate)
             if cand_obj >= obj or (
-                obj - cand_obj <= 8 * np.spacing(abs(obj)) and float(np.max(np.abs(cand_g))) < g_max
+                obj - cand_obj <= 8 * np.spacing(abs(obj)) and float(np.abs(cand_g).max()) < g_max
             ):
                 w, obj, g, p = candidate, cand_obj, cand_g, cand_p
                 break

@@ -5,10 +5,12 @@
 
 ``hash`` builds the command lines of ``bench/workloads.py`` at seeds 1-3, the
 warm-ups included. To reach code the workloads never run, it adds each curve
-``--summary`` command line again without ``--summary`` (the full report), and the
-fixed ``EDGES``: domain edges, warnings, and the top-level and every subcommand's
-``--help`` (wrapped at ``COLUMNS=80``, whatever the terminal). It runs each
-distinct one once through ``skillcheck.cli.main`` in this process and writes
+``--summary`` command line again without ``--summary`` (the full report), each
+batch ``fit`` again at the CLI defaults (``--tol 1e-8``), and the fixed ``EDGES``:
+domain edges, warnings, fits whose line search compares objectives a few ulps
+apart (a log that once stalled) or takes a rare path, and the top-level and
+every subcommand's ``--help`` (wrapped at ``COLUMNS=80``, whatever the terminal).
+It runs each distinct one once through ``skillcheck.cli.main`` in this process and writes
 ``{command line: sha256 of exit code, stdout and stderr}`` as JSON. ``--src``
 names the source tree to import ``skillcheck`` from (this checkout's ``src`` by
 default), so that one checkout's command lines can be run against another's code,
@@ -42,9 +44,19 @@ SHOWN = 10  # differing command lines that ``diff`` prints
 SUBCOMMANDS = ("dist", "check", "opposed", "grade", "evidence", "compare", "figure", "fit", "simulate")
 
 # Domain edges and warnings, with the fit logs they read (written beside the workloads').
+# The three short logs take the rare solver paths of tests/test_cli.py at --ridge 0 --slope 3.
 LOGS = {
     "disconnected.csv": "person,task,success\na,t1,1\na,t1,0\nb,t2,1\nb,t2,0\n",
     "all_success.csv": "person,task,success\na,t1,1\nb,t2,1\n",
+    "stall_seed12_session68.csv": (ROOT / "tests" / "data" / "stall_seed12_session68.csv").read_text(),
+    **{
+        f"{path}.csv": "person,task,success\n" + "\n".join(rows.split()) + "\n"
+        for path, rows in [
+            ("step_halved", "p1,t1,0 p0,t2,0 p0,t1,0 p0,t2,1 p1,t1,0"),
+            ("line_search_fails", "p1,t1,0 p0,t0,0 p1,t1,0 p1,t0,0 p0,t1,1 p1,t1,0 p1,t0,0"),
+            ("newton_not_finite", "p4,t1,1 p4,t1,1 p0,t0,1 p0,t1,1 p3,t0,0 p3,t1,0 p4,t1,1 p3,t1,0"),
+        ]
+    },
 }
 EDGES = [
     ["opposed", "--rating-a", "1e308", "--rating-b", "1e308", "--score", "1"],
@@ -57,6 +69,9 @@ EDGES = [
     ["compare", "--pair", "normal", "--mean", "1e308", "--scale", "1e307", "--summary"],
     ["fit", "--input", "disconnected.csv"],
     ["fit", "--input", "all_success.csv", "--ridge", "0"],
+    ["fit", "--input", "stall_seed12_session68.csv"],
+    *(["fit", "--input", log, "--ridge", "0", "--slope", "3"]
+      for log in ("step_halved.csv", "line_search_fails.csv", "newton_not_finite.csv")),
     ["--help"],
     *([command, "--help"] for command in SUBCOMMANDS),
 ]
@@ -78,6 +93,8 @@ def command_lines() -> dict[str, list[str]]:
             folder.mkdir()
             workload = workloads.build(name, seed, folder)
             argvs += [*workload.warmup, *(op.argv for op in workload.ops)]
+            batch_fits = [op.argv for op in workload.ops if op.kind == workloads.BATCH and op.argv[0] == "fit"]
+            argvs += [argv[:3] for argv in batch_fits]  # fit --input LOG, at the CLI defaults
     for argv in list(argvs):
         if argv[:3] in (["compare", "--pair", "normal"], ["compare", "--pair", "uniform"]):
             argvs.append([a for a in argv if a != "--summary"])

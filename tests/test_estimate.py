@@ -538,6 +538,70 @@ class TestNewtonStep:
         assert all(math.isfinite(v) for v in result.abilities.values())
 
 
+def reference_at(kernel, w):
+    """``_Kernel.at`` as first written: two logaddexp calls, two divisions and np.r_ sums."""
+    z = kernel.r * (w[kernel.cp] - w[kernel.n_p + kernel.ct])
+    ll = -(kernel.y * np.logaddexp(0.0, -z) + (kernel.n - kernel.y) * np.logaddexp(0.0, z)).sum()
+    ez = np.exp(-np.abs(z))
+    p = np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+    v = kernel.r * (kernel.y - kernel.n * p)
+    g = np.r_[np.bincount(kernel.cp, v, kernel.n_p), np.bincount(kernel.ct, v, kernel.n_t)].astype(float)
+    g[kernel.n_p :] *= -1.0
+    return ll, ll - 0.5 * kernel.ridge * float(w @ w), g - kernel.ridge * w, p
+
+
+EDGE_Z = [0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 800.0, -800.0]
+
+
+@st.composite
+def kernels_at(draw):
+    """A kernel and logits whose cells reach z = 0, -0, +/-1e-300, +/-745 and +/-800.
+
+    Each cell has its own person, whose ability is set so that z is near a drawn
+    gap; a difficulty of +/-0 and slopes from 0 up to ``_MAX_SLOPE`` make the
+    edges exact for some cells.
+    """
+    n_tasks = draw(st.integers(1, 4))
+    rates = st.sampled_from([0.0, 1e-300, 1.0, estimate._MAX_SLOPE]) | st.floats(0.0, estimate._MAX_SLOPE)
+    if draw(st.booleans()):
+        slopes = [draw(rates) for _ in range(n_tasks)]
+        slope = {f"t{j}": r for j, r in enumerate(slopes)}
+    else:
+        slope = draw(rates)
+        slopes = [slope] * n_tasks
+    difficulty = [draw(st.sampled_from([0.0, -0.0]) | st.floats(-50.0, 50.0)) for _ in range(n_tasks)]
+    gaps = st.sampled_from(EDGE_Z) | st.floats(-1e3, 1e3)
+    cells = draw(st.lists(
+        st.tuples(st.integers(0, n_tasks - 1), gaps, st.integers(0, 3), st.integers(0, 3)), max_size=6
+    ))
+    # A few generic gaps too, so that one cell's last bit shows in the sum: a vector
+    # log1p(exp(-|z|)) rounds otherwise in about one such cell in ten.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(0 if cells else 1, 3))
+    counts = rng.integers(0, 4, (2, k)).tolist()
+    cells += zip(rng.integers(0, n_tasks, k).tolist(), rng.normal(0.0, 1.0, k).tolist(), *counts)
+    pairs, ability = [], []
+    for i, (j, gap, wins, losses) in enumerate(cells):
+        pairs += [(f"p{i}", f"t{j}", True)] * wins + [(f"p{i}", f"t{j}", False)] * max(losses, wins == 0)
+        shifted = difficulty[j] + gap / slopes[j] if slopes[j] else gap
+        ability.append(shifted if abs(shifted) <= 1e6 else gap)  # |w|^2 stays finite
+    persons, tasks = [f"p{i}" for i in range(len(cells))], [f"t{j}" for j in range(n_tasks)]
+    kernel = _Kernel(_columns(make_records(pairs)), persons, tasks, slope, draw(st.sampled_from([0.0, 0.01, 1.0])))
+    return kernel, np.array(ability + difficulty)
+
+
+def bits(values):
+    return [np.asarray(v, float).tobytes() for v in values]
+
+
+class TestKernelAt:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(kernels_at())
+    def test_same_bits_as_the_reference(self, case):
+        kernel, w = case
+        assert bits(kernel.at(w)) == bits(reference_at(kernel, w))
+
+
 def bfs_connected(cells, n_persons, n_tasks):
     """Oracle: breadth-first search from person 0 over an adjacency dict."""
     adjacent = {("p", i): set() for i in range(n_persons)} | {("t", j): set() for j in range(n_tasks)}
