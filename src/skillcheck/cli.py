@@ -176,9 +176,9 @@ def _cmd_figure(args, parser) -> None:
 def _cmd_fit(args, parser) -> None:
     from . import estimate  # numpy loads here, not on import
 
-    columns = estimate._read_columns(sys.stdin if args.input == "-" else args.input)
-    result = estimate._fit(
-        columns, slope=args.slope, ridge=args.ridge, max_iter=args.max_iter, tol=args.tol
+    result = estimate._fit(  # no name holds the log, so _fit can drop it before the solve
+        estimate._read_log(sys.stdin if args.input == "-" else args.input),
+        slope=args.slope, ridge=args.ridge, max_iter=args.max_iter, tol=args.tol,
     )
     for text in estimate._warnings(result, args.ridge):
         print(f"warning: {text}", file=sys.stderr)

@@ -16,12 +16,15 @@ fit/predict_proba interface for pipeline use.
 
 from __future__ import annotations
 
+import codecs
 import csv
+import itertools
 import json
+import os
 import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
-from typing import IO, Iterator, Sequence, Union
+from typing import IO, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -35,6 +38,16 @@ SlopeSpec = Union[float, Mapping[str, float]]
 # under 1e307 for any n below 2**63; past 1.35e154 it overflows a float at n = 1.
 _MAX_SLOPE = 1e144
 _Columns = tuple[Sequence[str], Sequence[str], Sequence[bool]]  # person, task, success
+
+
+class _Log(NamedTuple):
+    """Outcome records as codes: sorted distinct ids, and per record their indices and success."""
+
+    persons: list[str]
+    tasks: list[str]
+    pi: np.ndarray  # intp index into persons
+    ti: np.ndarray  # intp index into tasks
+    success: np.ndarray  # float, 1.0 for a success
 
 
 @dataclass(frozen=True)
@@ -120,39 +133,43 @@ def _columns(records: Sequence[OutcomeRecord]) -> _Columns:
     return person, task, [bool(r.success) for r in records]
 
 
+def _log(
+    columns: _Columns, persons: Union[list[str], None] = None, tasks: Union[list[str], None] = None
+) -> _Log:
+    """The log of person, task and success columns over sorted ids, by default their own."""
+    person, task, success = columns
+    persons = sorted(set(person)) if persons is None else persons
+    tasks = sorted(set(task)) if tasks is None else tasks
+    p_index = {p: i for i, p in enumerate(persons)}
+    t_index = {t: i for i, t in enumerate(tasks)}
+    # Ids map through dicts: np.unique on strings would strip trailing NULs.
+    try:
+        pi = np.fromiter(map(p_index.__getitem__, person), np.intp, len(person))
+        ti = np.fromiter(map(t_index.__getitem__, task), np.intp, len(task))
+    except KeyError:
+        p, t = next(r for r in zip(person, task) if r[0] not in p_index or r[1] not in t_index)
+        if p not in p_index:
+            raise ValueError(f"missing ability parameter for person {p!r}") from None
+        raise ValueError(f"missing difficulty parameter for task {t!r}") from None
+    return _Log(persons, tasks, pi, ti, np.fromiter(success, float, len(success)))
+
+
 class _Kernel:
-    """The Rasch likelihood over records aggregated into sorted cells.
+    """The Rasch likelihood of a ``_Log``'s records aggregated into sorted cells.
 
     One cell per distinct (person, task) pair holds its successes ``y`` and
-    attempts ``n``. A parameter vector ``w`` lists ``persons``, then ``tasks``.
+    attempts ``n``. A parameter vector ``w`` lists the log's persons, then its
+    tasks. The kernel keeps no reference to the log.
     """
 
-    def __init__(
-        self,
-        columns: _Columns,
-        persons: Sequence[str],
-        tasks: Sequence[str],
-        slope: SlopeSpec,
-        ridge: float,
-    ) -> None:
+    def __init__(self, log: _Log, slope: SlopeSpec, ridge: float) -> None:
         if not 0.0 <= ridge < np.inf:
             raise ValueError(f"ridge must be nonnegative and finite, got {ridge}")
-        person, task, success = columns
-        p_index = {p: i for i, p in enumerate(persons)}
-        t_index = {t: i for i, t in enumerate(tasks)}
-        # Ids map through dicts: np.unique on strings would strip trailing NULs.
-        try:
-            pi = np.fromiter(map(p_index.__getitem__, person), np.intp, len(person))
-            ti = np.fromiter(map(t_index.__getitem__, task), np.intp, len(task))
-        except KeyError:
-            p, t = next(r for r in zip(person, task) if r[0] not in p_index or r[1] not in t_index)
-            if p not in p_index:
-                raise ValueError(f"missing ability parameter for person {p!r}") from None
-            raise ValueError(f"missing difficulty parameter for task {t!r}") from None
-        self.n_p, self.n_t, self.ridge = len(persons), len(tasks), ridge
-        cells, at = np.unique(pi * self.n_t + ti, return_inverse=True)
+        tasks = log.tasks
+        self.n_p, self.n_t, self.ridge = len(log.persons), len(tasks), ridge
+        cells, at = np.unique(log.pi * self.n_t + log.ti, return_inverse=True)
         self.cp, self.ct = np.divmod(cells, self.n_t)
-        self.y = np.bincount(at, np.fromiter(success, float, len(success)), len(cells))
+        self.y = np.bincount(at, log.success, len(cells))
         self.n = np.bincount(at, minlength=len(cells)).astype(float)
         if isinstance(slope, Mapping):  # one lookup per task with records; other tasks need none
             used = np.flatnonzero(np.bincount(self.ct, minlength=self.n_t))
@@ -241,7 +258,7 @@ def _kernel_at(
 ) -> tuple[_Kernel, np.ndarray]:
     persons, tasks = sorted(abilities), sorted(difficulties)
     w = np.array([abilities[p] for p in persons] + [difficulties[t] for t in tasks], dtype=float)
-    return _Kernel(_columns(records), persons, tasks, slope, ridge), w
+    return _Kernel(_log(_columns(records), persons, tasks), slope, ridge), w
 
 
 def log_likelihood(
@@ -300,7 +317,7 @@ def fit_rasch(
     diverge; such data is flagged in ``extreme`` and, when unpenalized,
     also warned about.
     """
-    result = _fit(_columns(records), slope=slope, ridge=ridge, max_iter=max_iter, tol=tol)
+    result = _fit(_log(_columns(records)), slope=slope, ridge=ridge, max_iter=max_iter, tol=tol)
     for text in _warnings(result, ridge):
         warnings.warn(text, RuntimeWarning, stacklevel=2)
     return result
@@ -315,17 +332,22 @@ def _warnings(result: FitResult, ridge: float) -> Iterator[str]:
         yield "person/task graph is disconnected; logits are only comparable within a component"
 
 
-def _fit(columns: _Columns, *, slope: SlopeSpec, ridge: float, max_iter: int, tol: float) -> FitResult:
-    """``fit_rasch`` on person, task and success columns; it warns of nothing."""
-    if not columns[0]:
+def _fit(log: _Log, *, slope: SlopeSpec, ridge: float, max_iter: int, tol: float) -> FitResult:
+    """``fit_rasch`` on a ``_Log``; it warns of nothing.
+
+    The log is dropped once the kernel is built, so that no per-record array
+    lives through the Newton loop.
+    """
+    if not len(log.pi):
         raise ValueError("need at least one outcome record")
     if max_iter < 1:
         raise ValueError(f"max_iter must be positive, got {max_iter}")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
 
-    persons, tasks = sorted(set(columns[0])), sorted(set(columns[1]))
-    kernel = _Kernel(columns, persons, tasks, slope, ridge)
+    persons, tasks = log.persons, log.tasks
+    kernel = _Kernel(log, slope, ridge)
+    del log
     n_p = len(persons)
 
     w = np.zeros(n_p + len(tasks))
@@ -448,7 +470,9 @@ def _read_columns(source: Union[str, IO[str]]) -> _Columns:
     if isinstance(source, str):
         with open(source, newline="", encoding="utf-8") as fh:
             return _read_columns(fh)
-    reader = csv.reader(source)
+    lines = iter(source)
+    first = next(lines, "")  # one byte-order mark before the header is skipped, as Excel writes one
+    reader = csv.reader(itertools.chain([first.removeprefix("\ufeff")] if first else [], lines))
     persons, tasks, successes = [], [], []
     try:
         header = next(reader, None)
@@ -475,3 +499,73 @@ def _read_columns(source: Union[str, IO[str]]) -> _Columns:
     except csv.Error as exc:  # a NUL byte before Python 3.11, or a field past the size limit
         raise ValueError(f"line {reader.line_num}: {exc}") from None
     return persons, tasks, successes
+
+
+def _read_log(source: Union[str, IO[str]]) -> _Log:
+    """``_log(_read_columns(source))``: the same ids, codes and successes, or the same error.
+
+    A regular file is read as bytes, and a plain one (``_plain_log``) is coded by
+    numpy with no Python string per record. Any other file, and a stream, is read
+    by ``csv.reader``, whose strings are dropped on return.
+    """
+    if isinstance(source, str) and os.path.isfile(source):  # a pipe could not be read twice
+        with open(source, "rb") as fh:
+            log = _plain_log(fh.read())
+        if log is not None:
+            return log
+    return _log(_read_columns(source))
+
+
+def _plain_log(data: bytes) -> Union[_Log, None]:
+    """The log of a plain file's bytes, or None for any other file; it never raises.
+
+    Plain is an optional UTF-8 byte-order mark and a header that ``_read_columns``
+    accepts, free of quotes and CRs, then lines ``person,task,success`` each ending
+    in ``\\n``: ids of 1-8 bytes in 0x21-0x7E other than ``"``, within the csv field
+    limit, and a success of ``0`` or ``1``. ``csv.reader`` splits such a file at its
+    commas and ``str.strip`` finds nothing to remove, so it reads the same log.
+    """
+    start = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    end = data.find(b"\n", start)
+    head = data[start:end]
+    if end < 0 or not head.isascii() or b'"' in head or b"\r" in head:
+        return None
+    names, limit = head.decode().split(","), csv.field_size_limit()
+    if [h.strip() for h in names] != ["person", "task", "success"] or max(map(len, names)) > limit:
+        return None
+    body = np.frombuffer(data, np.uint8, offset=end + 1)
+    if not body.size or body[-1] != ord("\n"):
+        return None
+    # The bytes that may not stand in an id (uint8 arithmetic wraps those below 0x21 past
+    # 0x5D, as it does those above 0x7E) must run ",,\n" on every line: no quote, no other.
+    ends = np.flatnonzero((body - 0x21 > 0x7E - 0x21) | (body == ord(",")) | (body == ord('"')))
+    if len(ends) % 3 or (body[ends].reshape(-1, 3) != np.frombuffer(b",,\n", np.uint8)).any():
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1)).reshape(-1, 3)  # of person, task, success
+    widths = ends.reshape(-1, 3) - starts
+    del ends  # each array goes once used up: this function sets the peak memory of a fit
+    bit = body[starts[:, 2]]
+    if (
+        widths.min() < 1
+        or widths.max() > min(8, limit)  # an id's bytes fit one uint64 key
+        or (widths[:, 2] != 1).any()
+        or (bit - ord("0")).max() > 1  # uint8: a byte below "0" wraps past 1
+    ):
+        return None
+    # Each id's bytes, left-aligned in a big-endian key and zero-padded: for ASCII ids
+    # without NUL this orders keys as ``sorted`` orders the strings. Right-aligned,
+    # "b" would sort before "ab". ``words`` reads the 8 bytes from every offset.
+    padded = np.concatenate((body, np.zeros(8, np.uint8)))
+    words = np.ndarray((body.size,), ">u8", padded, 0, (1,))
+    keys = words[starts[:, :2]].astype(np.uint64)
+    del words, padded, starts
+    shift = (64 - 8 * widths[:, :2]).astype(np.uint64)
+    keys >>= shift  # drops the bytes past each id
+    keys <<= shift
+    del shift, widths
+    coded = []
+    for column in keys.T:
+        ids, codes = np.unique(column, return_inverse=True)
+        coded.append((ids.astype(">u8").view("S8").astype(str).tolist(), codes))
+    (persons, pi), (tasks, ti) = coded
+    return _Log(persons, tasks, pi, ti, (bit == ord("1")).astype(float))

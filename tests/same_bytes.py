@@ -8,7 +8,8 @@ warm-ups included. To reach code the workloads never run, it adds each curve
 ``--summary`` command line again without ``--summary`` (the full report), each
 batch ``fit`` again at the CLI defaults (``--tol 1e-8``), and the fixed ``EDGES``:
 domain edges, warnings, fits whose line search compares objectives a few ulps
-apart (a log that once stalled) or takes a rare path, and the top-level and
+apart (a log that once stalled) or takes a rare path, logs on either side of the
+plain-log fast path of ``estimate._read_log``, and the top-level and
 every subcommand's ``--help`` (wrapped at ``COLUMNS=80``, whatever the terminal).
 It runs each distinct one once through ``skillcheck.cli.main`` in this process and writes
 ``{command line: sha256 of exit code, stdout and stderr}`` as JSON. ``--src``
@@ -27,8 +28,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import shlex
@@ -43,9 +46,32 @@ SHOWN = 10  # differing command lines that ``diff`` prints
 # Every subcommand, each of whose ``--help`` is in EDGES.
 SUBCOMMANDS = ("dist", "check", "opposed", "grade", "evidence", "compare", "figure", "fit", "simulate")
 
+# The 12x6 log of tests/test_cli.py, whose fit is FIT_GOLDEN there.
+TWELVE_BY_SIX = "".join(
+    f"p{i},t{j},{bit}\n"
+    for (i, j), bit in zip(
+        itertools.product(range(12), range(6)),
+        "000001101111011011000100110111111010001000111011110111000000111111101101",
+    )
+)
+# Renderings of it that the plain-log fast path must leave to the csv reader, with the same
+# bytes out: CRLF, a quoted id, space-padded fields, no final newline, a 9-byte id, an invalid
+# UTF-8 byte past the reader's first 8 KiB chunk (its error names a position in the chunk),
+# and a field longer than csv.field_size_limit().
+BOUNDARY = {
+    "crlf.csv": ("person,task,success\n" + TWELVE_BY_SIX).replace("\n", "\r\n"),
+    "quoted.csv": 'person,task,success\n"p0"' + TWELVE_BY_SIX[2:],
+    "padded.csv": "person , task,success\n" + TWELVE_BY_SIX.replace(",t3,", ", t3 , "),
+    "no_final_newline.csv": "person,task,success\n" + TWELVE_BY_SIX[:-1],
+    "nine_byte_id.csv": "person,task,success\n" + TWELVE_BY_SIX.replace("p11,", "person011,"),
+    "bad_utf8_past_8k.csv": ("person,task,success\n" + TWELVE_BY_SIX * 20).encode() + b"p\xff,t0,1\n",
+    "past_field_limit.csv": "person,task,success\na,t,1\nb," + "t" * (csv.field_size_limit() + 1) + ",0\n",
+}
+
 # Domain edges and warnings, with the fit logs they read (written beside the workloads').
 # The three short logs take the rare solver paths of tests/test_cli.py at --ridge 0 --slope 3.
-LOGS = {
+LOGS: dict[str, str | bytes] = {
+    **BOUNDARY,
     "disconnected.csv": "person,task,success\na,t1,1\na,t1,0\nb,t2,1\nb,t2,0\n",
     "all_success.csv": "person,task,success\na,t1,1\nb,t2,1\n",
     "stall_seed12_session68.csv": (ROOT / "tests" / "data" / "stall_seed12_session68.csv").read_text(),
@@ -72,6 +98,7 @@ EDGES = [
     ["fit", "--input", "stall_seed12_session68.csv"],
     *(["fit", "--input", log, "--ridge", "0", "--slope", "3"]
       for log in ("step_halved.csv", "line_search_fails.csv", "newton_not_finite.csv")),
+    *(["fit", "--input", log] for log in BOUNDARY),
     ["--help"],
     *([command, "--help"] for command in SUBCOMMANDS),
 ]
@@ -99,7 +126,7 @@ def command_lines() -> dict[str, list[str]]:
         if argv[:3] in (["compare", "--pair", "normal"], ["compare", "--pair", "uniform"]):
             argvs.append([a for a in argv if a != "--summary"])
     for log, text in LOGS.items():
-        Path(log).write_text(text)
+        Path(log).write_bytes(text.encode() if isinstance(text, str) else text)
     lines: dict[str, list[str]] = {}
     for argv in [*argvs, *EDGES]:
         lines.setdefault(shlex.join(argv), argv)

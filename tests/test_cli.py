@@ -511,6 +511,21 @@ class TestFit:
         monkeypatch.setattr("sys.stdin", io.StringIO(path.read_text()))
         assert run_cli(capsys, "fit", "--input", "-") == (0, FIT_GOLDEN, "")
 
+    @pytest.mark.parametrize("header", ["person,task,success", '"person","task","success"'])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_a_byte_order_mark_before_the_header_is_skipped(
+        self, capsys, tmp_path, monkeypatch, header, newline
+    ):
+        # Excel's "CSV UTF-8" export starts with one. Only the plain log (an unquoted header
+        # and \n) takes the numpy path from a path; the others take the csv reader.
+        body = _twelve_by_six_log(tmp_path).read_text().split("\n", 1)[1]
+        text = ("\ufeff" + header + "\n" + body).replace("\n", newline)
+        path = tmp_path / "bom.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert run_cli(capsys, "fit", "--input", str(path)) == (0, FIT_GOLDEN, "")
+        monkeypatch.setattr("sys.stdin", io.StringIO(text, newline=""))
+        assert run_cli(capsys, "fit", "--input", "-") == (0, FIT_GOLDEN, "")
+
     @pytest.mark.parametrize(
         "text",
         [

@@ -14,7 +14,7 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pathlib import Path
@@ -518,7 +518,7 @@ class TestNewtonStep:
             for _ in range(int(3 * rng.random()))
         ]
         slope = {t: 0.5 + j * 0.25 for j, t in enumerate(tasks)} if per_task_slope else 1.3
-        kernel = _Kernel(_columns(records), persons, tasks, slope, 0.05)
+        kernel = _Kernel(estimate._log(_columns(records), persons, tasks), slope, 0.05)
         w = np.array([-2.0 + 4.0 * rng.random() for _ in range(n_persons + n_tasks)])
         _, _, g, p = kernel.at(w)
         expected = -np.linalg.solve(dense_hessian(kernel, p), g)
@@ -586,7 +586,9 @@ def kernels_at(draw):
         shifted = difficulty[j] + gap / slopes[j] if slopes[j] else gap
         ability.append(shifted if abs(shifted) <= 1e6 else gap)  # |w|^2 stays finite
     persons, tasks = [f"p{i}" for i in range(len(cells))], [f"t{j}" for j in range(n_tasks)]
-    kernel = _Kernel(_columns(make_records(pairs)), persons, tasks, slope, draw(st.sampled_from([0.0, 0.01, 1.0])))
+    kernel = _Kernel(
+        estimate._log(_columns(make_records(pairs)), persons, tasks), slope, draw(st.sampled_from([0.0, 0.01, 1.0]))
+    )
     return kernel, np.array(ability + difficulty)
 
 
@@ -621,7 +623,7 @@ def kernel_of(cells, n_persons, n_tasks):
     persons = [f"p{i:06d}" for i in range(n_persons)]
     tasks = [f"t{j:06d}" for j in range(n_tasks)]
     columns = [persons[i] for i, _ in cells], [tasks[j] for _, j in cells], [True] * len(cells)
-    return _Kernel(columns, persons, tasks, 1.0, 0.0)
+    return _Kernel(estimate._log(columns, persons, tasks), 1.0, 0.0)
 
 
 @st.composite
@@ -819,6 +821,96 @@ class TestOutcomeCsv:
     def test_blank_lines_skipped(self):
         records = read_outcome_csv(io.StringIO("person,task,success\na,t,1\n\n"))
         assert len(records) == 1
+
+
+# Id bytes that a plain log may hold: printable ASCII other than the quote and the comma.
+PLAIN_ID = st.text("".join(chr(c) for c in range(0x21, 0x7F) if chr(c) not in '",'), min_size=1, max_size=8)
+RENDERINGS = [
+    "plain", "bom", "crlf", "quoted", "padded", "blank_line", "no_final_newline", "nine_bytes",
+    "non_ascii", "bad_utf8", "two_fields", "four_fields", "success", "empty_id",
+]
+
+
+@st.composite
+def rendered_logs(draw):
+    """A random log of plain ids, rendered plainly or with one perturbation at one field."""
+    rows = draw(st.lists(st.tuples(PLAIN_ID, PLAIN_ID, st.sampled_from("01")), min_size=1, max_size=12))
+    how = draw(st.sampled_from(RENDERINGS))
+    lines = [["person", "task", "success"], *map(list, rows)]
+    at = draw(st.integers(1, len(rows)))
+    row, field = lines[at], draw(st.integers(0, 1))
+    if how == "quoted":
+        row[field] = f'"{row[field]}"'
+    elif how == "padded":  # \x1c is whitespace to str.strip, not to bytes.strip
+        row[draw(st.integers(0, 2))] += draw(st.sampled_from([" ", "\t", "\x1c"]))
+    elif how == "nine_bytes":
+        row[field] = (row[field] * 9)[:9]
+    elif how == "non_ascii":
+        row[field] += "\xe9"
+    elif how == "bad_utf8":
+        row[field] += "\udcff"  # written as the lone byte 0xff
+    elif how == "two_fields":
+        del row[2]
+    elif how == "four_fields":
+        row.append(row[2])
+    elif how == "success":
+        row[2] = draw(st.sampled_from(["2", " 1"]))
+    elif how == "empty_id":
+        row[field] = ""
+    elif how == "blank_line":
+        lines.insert(at + 1, [])
+    text = "".join(",".join(line) + "\n" for line in lines)
+    whole = {"bom": "\ufeff" + text, "crlf": text.replace("\n", "\r\n"), "no_final_newline": text[:-1]}
+    text = whole.get(how, text)
+    return how, text.encode("utf-8", "surrogateescape")
+
+
+def read_outcome(read, path):
+    """What ``read`` makes of a log file: its ids, codes and successes, or its error text."""
+    try:
+        log = read(path)
+    except ValueError as exc:
+        return "error", str(exc)
+    return log.persons, log.tasks, [a.dtype.str + a.tobytes().hex() for a in (log.pi, log.ti, log.success)]
+
+
+class TestPlainLog:
+    @settings(
+        max_examples=500, derandomize=True, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(rendered_logs())
+    def test_reads_what_the_csv_reader_reads(self, tmp_path, case):
+        how, data = case
+        path = tmp_path / "log.csv"
+        path.write_bytes(data)
+        if how in ("plain", "bom"):
+            assert estimate._plain_log(data) is not None
+        expected = read_outcome(lambda p: estimate._log(estimate._read_columns(p)), str(path))
+        assert read_outcome(estimate._read_log, str(path)) == expected
+
+    def test_a_benchmark_log_takes_the_numpy_path(self, tmp_path):
+        path = tmp_path / "log.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(["person", "task", "success"])
+            w.writerows(
+                (f"p{i:05d}", f"t{j:04d}", (i * j) % 3 % 2) for i in range(40) for j in range(0, 500, 7)
+            )
+        assert estimate._plain_log(path.read_bytes()) is not None
+        expected = read_outcome(lambda p: estimate._log(estimate._read_columns(p)), str(path))
+        assert read_outcome(estimate._read_log, str(path)) == expected
+
+    def test_an_id_past_a_lowered_field_limit_takes_the_csv_path(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text("person,task,success\na,task5678,1\n")  # "success" fits a limit of 7
+        limit = csv.field_size_limit(7)
+        try:
+            assert estimate._plain_log(path.read_bytes()) is None
+            with pytest.raises(ValueError, match=r"^line 2: field larger than field limit \(7\)$"):
+                estimate._read_log(str(path))
+        finally:
+            csv.field_size_limit(limit)
 
 
 class TestFitResultJson:
