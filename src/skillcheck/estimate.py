@@ -5,7 +5,8 @@ Fitting is joint penalized maximum likelihood: a small ridge penalty on
 every logit keeps the problem strictly concave and well posed even for
 people or tasks with all-success or all-failure records. The optimizer is
 damped Newton with step-halving, solving each step by Schur complement
-and falling back to gradient ascent if that solve fails.
+and falling back to gradient ascent if that solve fails. It starts from
+each identifier's marginal logit (PROX; Wright & Stone 1979), not from zero.
 
 Logits are only identified up to a common shift, so fitted difficulties
 are re-centered to mean zero and the offset is absorbed into abilities.
@@ -38,6 +39,7 @@ SlopeSpec = Union[float, Mapping[str, float]]
 # under 1e307 for any n below 2**63; past 1.35e154 it overflows a float at n = 1.
 _MAX_SLOPE = 1e144
 _Columns = tuple[Sequence[str], Sequence[str], Sequence[bool]]  # person, task, success
+_ID_BYTES = 32  # the longest id of a plain log: four 8-byte words of its key
 
 
 class _Log(NamedTuple):
@@ -73,7 +75,9 @@ class FitResult:
     failures; their unpenalized estimates would diverge. ``connected`` is
     False when the person/task graph splits into components, in which case
     logits are only comparable within a component. ``log_likelihood`` is
-    the unpenalized data log-likelihood at the returned parameters.
+    the unpenalized data log-likelihood at the fit's last point before the
+    gauge shift, which keeps every ability - difficulty: it is the value at
+    the returned parameters up to rounding in the last digits.
     """
 
     abilities: dict[str, float]
@@ -308,10 +312,13 @@ def fit_rasch(
 ) -> FitResult:
     """Jointly estimate all ability and difficulty logits from records.
 
-    Deterministic: parameters start at zero, records are aggregated into
-    per-(person, task) counts in sorted order, and the result is identical
-    for any permutation of the input. Convergence means the gradient
-    max-norm fell below ``tol``.
+    Deterministic: records are aggregated into per-(person, task) counts in
+    sorted order, and the result is identical for any permutation of the
+    input. Each person starts at 1.3 * logit((y + 1/2) / (n + 1)) of their
+    successes y in n attempts, and each task at minus the same value,
+    centred over the tasks: in units of the gap slope * (ability -
+    difficulty), scaled down where the ridge outweighs the slope's
+    information. Convergence means the gradient max-norm fell below ``tol``.
 
     With ridge = 0 the estimates of all-success or all-failure identifiers
     diverge; such data is flagged in ``extreme`` and, when unpenalized,
@@ -350,8 +357,20 @@ def _fit(log: _Log, *, slope: SlopeSpec, ridge: float, max_iter: int, tol: float
     del log
     n_p = len(persons)
 
-    w = np.zeros(n_p + len(tasks))
-    _, obj, g, p = kernel.at(w)
+    # Marginal-logit start (PROX; Wright & Stone 1979), as gaps slope * (ability -
+    # difficulty): a person at 1.3 * logit((y + 1/2) / (n + 1)) of their totals, a task at
+    # minus its own, centred. The 1.3 undoes the shrinking of marginal logits by the other
+    # side's spread; it took the fewest Newton steps on the fit logs of bench/workloads.py
+    # at seeds 100-109, against 0.6-2.0 and PROX's own factors. Each gap is multiplied by
+    # sum(n * slope) / (sum(n * slope**2) + 4 * ridge) of its identifier (p(1 - p) <= 1/4):
+    # 1 / slope while the data outweigh the ridge, and toward 0 rather than past the float
+    # range as the slope goes to 0, as the penalized optimum does.
+    successes, attempts = kernel.sums(kernel.y), kernel.sums(kernel.n)
+    start = 1.3 * np.log((successes + 0.5) / (attempts - successes + 0.5))
+    start[n_p:] = start[n_p:].mean() - start[n_p:]
+    info = kernel.sums(kernel.n * kernel.r * kernel.r) + 4.0 * ridge
+    w = np.divide(start * kernel.sums(kernel.n * kernel.r), info, out=np.zeros_like(start), where=info > 0.0)
+    ll, obj, g, p = kernel.at(w)
     trace = [obj]
     iterations = 0
     while True:
@@ -371,11 +390,11 @@ def _fit(log: _Log, *, slope: SlopeSpec, ridge: float, max_iter: int, tol: float
         t = 1.0
         while t > 1e-12:
             candidate = w + t * direction
-            _, cand_obj, cand_g, cand_p = kernel.at(candidate)
+            cand_ll, cand_obj, cand_g, cand_p = kernel.at(candidate)
             if cand_obj >= obj or (
                 obj - cand_obj <= 8 * np.spacing(abs(obj)) and float(np.abs(cand_g).max()) < g_max
             ):
-                w, obj, g, p = candidate, cand_obj, cand_g, cand_p
+                w, ll, obj, g, p = candidate, cand_ll, cand_obj, cand_g, cand_p
                 break
             t *= 0.5
         iterations += 1
@@ -383,18 +402,18 @@ def _fit(log: _Log, *, slope: SlopeSpec, ridge: float, max_iter: int, tol: float
         if t <= 1e-12:  # no step was accepted
             break
 
-    # Gauge fix: difficulties sum to zero, offset absorbed into abilities.
+    # Gauge fix: difficulties sum to zero, offset absorbed into abilities. The shift keeps
+    # every ability - difficulty, so the last accepted point's log-likelihood stands.
     offset = float(np.mean(w[n_p:]))
     w = w - offset
 
-    successes = kernel.sums(kernel.y)
-    all_or_none = (successes == 0.0) | (successes == kernel.sums(kernel.n))
+    all_or_none = (successes == 0.0) | (successes == attempts)
     extreme = frozenset(name for name, flag in zip(persons + tasks, all_or_none.tolist()) if flag)
     connected = kernel.connected()  # its cell-sized arrays are freed before the dicts below exist
     return FitResult(
         abilities=dict(zip(persons, w[:n_p].tolist())),
         difficulties=dict(zip(tasks, w[n_p:].tolist())),
-        log_likelihood=float(kernel.at(w)[0]),
+        log_likelihood=float(ll),
         iterations=iterations,
         converged=converged,
         extreme=extreme,
@@ -521,7 +540,7 @@ def _plain_log(data: bytes) -> Union[_Log, None]:
 
     Plain is an optional UTF-8 byte-order mark and a header that ``_read_columns``
     accepts, free of quotes and CRs, then lines ``person,task,success`` each ending
-    in ``\\n``: ids of 1-8 bytes in 0x21-0x7E other than ``"``, within the csv field
+    in ``\\n``: ids of 1-32 bytes in 0x21-0x7E other than ``"``, within the csv field
     limit, and a success of ``0`` or ``1``. ``csv.reader`` splits such a file at its
     commas and ``str.strip`` finds nothing to remove, so it reads the same log.
     """
@@ -547,25 +566,40 @@ def _plain_log(data: bytes) -> Union[_Log, None]:
     bit = body[starts[:, 2]]
     if (
         widths.min() < 1
-        or widths.max() > min(8, limit)  # an id's bytes fit one uint64 key
+        or widths.max() > min(_ID_BYTES, limit)  # an id's bytes fit its key's words
         or (widths[:, 2] != 1).any()
         or (bit - ord("0")).max() > 1  # uint8: a byte below "0" wraps past 1
     ):
         return None
-    # Each id's bytes, left-aligned in a big-endian key and zero-padded: for ASCII ids
-    # without NUL this orders keys as ``sorted`` orders the strings. Right-aligned,
-    # "b" would sort before "ab". ``words`` reads the 8 bytes from every offset.
-    padded = np.concatenate((body, np.zeros(8, np.uint8)))
-    words = np.ndarray((body.size,), ">u8", padded, 0, (1,))
-    keys = words[starts[:, :2]].astype(np.uint64)
+    # Each id's bytes, left-aligned in a key of big-endian words and zero-padded: for ASCII
+    # ids without NUL this orders keys, word by word, as ``sorted`` orders the strings.
+    # Right-aligned, "b" would sort before "ab". ``words`` reads 8 bytes from every offset.
+    padded = np.concatenate((body, np.zeros(_ID_BYTES, np.uint8)))
+    words = np.ndarray((body.size + _ID_BYTES - 8,), ">u8", padded, 0, (1,))
+    keys = [  # per column, one word per 8 bytes of its longest id
+        [words[start + k].astype(np.uint64) for k in range(0, int(width.max()), 8)]
+        for start, width in zip(starts[:, :2].T, widths[:, :2].T)
+    ]
     del words, padded, starts
-    shift = (64 - 8 * widths[:, :2]).astype(np.uint64)
-    keys >>= shift  # drops the bytes past each id
-    keys <<= shift
-    del shift, widths
+    for key, width in zip(keys, widths[:, :2].T.astype(np.int8)):  # int8: one byte a row to pass over
+        for k, word in zip(range(0, _ID_BYTES, 8), key):
+            shift = (64 - 8 * np.clip(width - k, 1, 8)).astype(np.uint8)
+            word >>= shift  # drops the bytes past each id
+            word <<= shift
+            word[width <= k] = 0  # the id ended before this word
+    del widths, word, shift
     coded = []
-    for column in keys.T:
-        ids, codes = np.unique(column, return_inverse=True)
-        coded.append((ids.astype(">u8").view("S8").astype(str).tolist(), codes))
+    for key in keys:
+        # Codes in key order: each further word ranks the pair (codes so far, rank of the
+        # word), a number below rows**2.
+        codes = np.unique(key[0], return_inverse=True)[1]
+        for word in key[1:]:
+            rank = np.unique(word, return_inverse=True)[1]
+            codes = np.unique(codes * (rank.max() + 1) + rank, return_inverse=True)[1]
+        first = np.zeros(codes.max() + 1, np.intp)
+        first[codes] = np.arange(len(codes))  # a record of each id, any one
+        ids = np.stack([word[first] for word in key], axis=1).astype(">u8").view(f"S{8 * len(key)}")
+        coded.append((ids.ravel().astype(str).tolist(), codes))
+    del keys
     (persons, pi), (tasks, ti) = coded
     return _Log(persons, tasks, pi, ti, (bit == ord("1")).astype(float))

@@ -54,22 +54,25 @@ TWELVE_BY_SIX = "".join(
         "000001101111011011000100110111111010001000111011110111000000111111101101",
     )
 )
-# Renderings of it that the plain-log fast path must leave to the csv reader, with the same
-# bytes out: CRLF, a quoted id, space-padded fields, no final newline, a 9-byte id, an invalid
-# UTF-8 byte past the reader's first 8 KiB chunk (its error names a position in the chunk),
-# and a field longer than csv.field_size_limit().
+# Renderings of it on either side of the plain-log fast path, with the same bytes out: a
+# 9-byte and a 32-byte id, which it reads as keys of two and four words, and what it must
+# leave to the csv reader: CRLF, a quoted id, space-padded fields, no final newline, a
+# 33-byte id, an invalid UTF-8 byte past the reader's first 8 KiB chunk (its error names a
+# position in the chunk), and a field longer than csv.field_size_limit().
 BOUNDARY = {
     "crlf.csv": ("person,task,success\n" + TWELVE_BY_SIX).replace("\n", "\r\n"),
     "quoted.csv": 'person,task,success\n"p0"' + TWELVE_BY_SIX[2:],
     "padded.csv": "person , task,success\n" + TWELVE_BY_SIX.replace(",t3,", ", t3 , "),
     "no_final_newline.csv": "person,task,success\n" + TWELVE_BY_SIX[:-1],
     "nine_byte_id.csv": "person,task,success\n" + TWELVE_BY_SIX.replace("p11,", "person011,"),
+    "32_byte_id.csv": "person,task,success\n" + TWELVE_BY_SIX.replace("p11,", "p" * 30 + "11,"),
+    "33_byte_id.csv": "person,task,success\n" + TWELVE_BY_SIX.replace("p11,", "p" * 31 + "11,"),
     "bad_utf8_past_8k.csv": ("person,task,success\n" + TWELVE_BY_SIX * 20).encode() + b"p\xff,t0,1\n",
     "past_field_limit.csv": "person,task,success\na,t,1\nb," + "t" * (csv.field_size_limit() + 1) + ",0\n",
 }
 
 # Domain edges and warnings, with the fit logs they read (written beside the workloads').
-# The three short logs take the rare solver paths of tests/test_cli.py at --ridge 0 --slope 3.
+# The three small logs take the rare solver paths of tests/test_cli.py at --ridge 0 --slope 3.
 LOGS: dict[str, str | bytes] = {
     **BOUNDARY,
     "disconnected.csv": "person,task,success\na,t1,1\na,t1,0\nb,t2,1\nb,t2,0\n",
@@ -78,9 +81,9 @@ LOGS: dict[str, str | bytes] = {
     **{
         f"{path}.csv": "person,task,success\n" + "\n".join(rows.split()) + "\n"
         for path, rows in [
-            ("step_halved", "p1,t1,0 p0,t2,0 p0,t1,0 p0,t2,1 p1,t1,0"),
-            ("line_search_fails", "p1,t1,0 p0,t0,0 p1,t1,0 p1,t0,0 p0,t1,1 p1,t1,0 p1,t0,0"),
-            ("newton_not_finite", "p4,t1,1 p4,t1,1 p0,t0,1 p0,t1,1 p3,t0,0 p3,t1,0 p4,t1,1 p3,t1,0"),
+            ("step_halved", "p0,t0,1 p0,t0,0 p0,t1,1"),
+            ("line_search_fails", "p0,t1,1 " * 7 + "p1,t0,0 " + "p1,t1,1 " * 3 + "p3,t0,1 " * 2 + "p4,t1,0 " * 6 + "p4,t2,1 " * 5),
+            ("newton_not_finite", "p1,t1,1 " * 6 + "p2,t0,1 " * 14 + "p2,t1,0 " * 7),
         ]
     },
 }

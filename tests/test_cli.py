@@ -392,33 +392,33 @@ def _twelve_by_six_log(tmp_path):
     return path
 
 
-# ``fit`` stdout for the 12x6 log, byte for byte, as first released.
+# ``fit`` stdout for the 12x6 log, byte for byte, from the marginal-logit start.
 FIT_GOLDEN = """{
   "abilities": {
-    "p0": -1.64712303681,
+    "p0": -1.64712303679,
     "p1": 1.6509703624,
-    "p10": 4.92419154917,
-    "p11": 0.720486253451,
-    "p2": 0.720486253451,
-    "p3": -1.64712303681,
+    "p10": 4.92419158749,
+    "p11": 0.720486253457,
+    "p2": 0.720486253457,
+    "p3": -1.64712303679,
     "p4": 1.6509703624,
-    "p5": 0.720486253451,
-    "p6": -1.64712303681,
+    "p5": 0.720486253457,
+    "p6": -1.64712303679,
     "p7": 1.6509703624,
     "p8": 1.6509703624,
-    "p9": -4.8573201279
+    "p9": -4.85732014576
   },
   "difficulties": {
-    "t0": -0.0856640844291,
-    "t1": 0.504082267088,
-    "t2": -0.0856640844291,
-    "t3": 0.504082267088,
-    "t4": -0.0856640844291,
-    "t5": -0.751172280889
+    "t0": -0.0856640844255,
+    "t1": 0.504082267062,
+    "t2": -0.0856640844255,
+    "t3": 0.504082267062,
+    "t4": -0.0856640844255,
+    "t5": -0.751172280848
   },
-  "log_likelihood": -29.5960499738,
+  "log_likelihood": -29.596049971,
   "converged": true,
-  "iterations": 7,
+  "iterations": 5,
   "extreme": [
     "p10",
     "p9"
@@ -449,8 +449,7 @@ class TestFit:
         assert "line 3" in err
 
     DISCONNECTED = "person/task graph is disconnected; logits are only comparable within a component"
-    # Flags, log, the warnings it gives in order, and the sha256 of its stdout as it was
-    # when these warnings were Python warnings.
+    # Flags, log, the warnings it gives in order, and the sha256 of its stdout.
     WARNED = {
         "disconnected": (
             (), "person,task,success\na,t1,1\na,t1,0\nb,t2,1\nb,t2,0\n", [DISCONNECTED],
@@ -460,7 +459,7 @@ class TestFit:
             ("--ridge", "0"), "person,task,success\na,t1,1\nb,t2,1\n",
             ["unpenalized fit with all-success or all-failure identifiers diverges: "
              "['a', 'b', 't1', 't2']", DISCONNECTED],
-            "5fd21b2bdbf0f18344277dc1194281b74d863096931309c41acd7f4d8fe23794",
+            "3fffc6cc8dd7992864216f2e503c8f5ccc2ec9da1e63777ad73ca0cb3f577809",
         ),
     }
 
@@ -479,21 +478,22 @@ class TestFit:
             code, out, err = run_cli(capsys, *argv)
             assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == expected
 
-    # Tiny logs that reach the solver's rare paths at ridge 0 and slope 3, with the
+    # Small logs that reach the solver's rare paths at ridge 0 and slope 3, with the
     # identifiers their one warning names and the sha256 of their stdout.
     SOLVER_PATHS = {
         "step_halved": (
-            "p1,t1,0 p0,t2,0 p0,t1,0 p0,t2,1 p1,t1,0", "['p1', 't1']",
-            "2f1d6fc3e61e3e96d06e80f5776c936d70a100bc6ace29454d75ba9596bfc094",
+            "p0,t0,1 p0,t0,0 p0,t1,1", "['t1']",
+            "580110a7ce455774cef0edff591f3c743ecf706377073d5621ce4b3dcb7b01cf",
         ),
         "line_search_fails": (
-            "p1,t1,0 p0,t0,0 p1,t1,0 p1,t0,0 p0,t1,1 p1,t1,0 p1,t0,0", "['p1', 't0']",
-            "276c9a7be4b53eeaf06bc756bdbbfedeea3919ba816dfc65b617c16f8972b18d",
+            "p0,t1,1 " * 7 + "p1,t0,0 " + "p1,t1,1 " * 3 + "p3,t0,1 " * 2 + "p4,t1,0 " * 6 + "p4,t2,1 " * 5,
+            "['p0', 'p3', 't2']",
+            "9feda67d8ef681fafe5ac40f3fcfea4e5f7c896debec2543a026f06a40b93296",
         ),
         "newton_not_finite": (
-            "p4,t1,1 p4,t1,1 p0,t0,1 p0,t1,1 p3,t0,0 p3,t1,0 p4,t1,1 p3,t1,0",
-            "['p0', 'p3', 'p4']",
-            "7f3327ba5feaf13122a841543b93224149fcc334d962886a0a129f2f4ddecf56",
+            "p1,t1,1 " * 6 + "p2,t0,1 " * 14 + "p2,t1,0 " * 7,
+            "['p1', 't0']",
+            "224f158a23d69bfb53edba8a3eb4352859399c243111a1d8e7faab5876140be6",
         ),
     }
 

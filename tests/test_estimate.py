@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import math
+import random
 import warnings
 from collections import deque
 
@@ -358,19 +359,20 @@ class TestFit:
             foc[r.task] -= resid
         assert max(foc.values()) - min(foc.values()) <= 2 * tol + 1e-8
 
-    # Tiny logs fitted at ridge 0 and slope 3, one per rare path of the solver loop:
+    # Small logs fitted at ridge 0 and slope 3, one per rare path of the solver loop:
     # (rows, iterations, converged, the extreme identifiers its warning names).
     SOLVER_PATHS = {
         # a full step lowers the objective, so the line search halves it
-        "step_halved": ("p1,t1,0 p0,t2,0 p0,t1,0 p0,t2,1 p1,t1,0", 13, True, ["p1", "t1"]),
+        "step_halved": ("p0,t0,1 p0,t0,0 p0,t1,1", 23, True, ["t1"]),
         # no step down to 1e-12 is accepted: the loop stops unconverged
         "line_search_fails": (
-            "p1,t1,0 p0,t0,0 p1,t1,0 p1,t0,0 p0,t1,1 p1,t1,0 p1,t0,0", 4, False, ["p1", "t0"]
+            "p0,t1,1 " * 7 + "p1,t0,0 " + "p1,t1,1 " * 3 + "p3,t0,1 " * 2 + "p4,t1,0 " * 6 + "p4,t2,1 " * 5,
+            5, False, ["p0", "p3", "t2"],
         ),
         # Newton's direction is not finite, so the gradient is followed instead
         "newton_not_finite": (
-            "p4,t1,1 p4,t1,1 p0,t0,1 p0,t1,1 p3,t0,0 p3,t1,0 p4,t1,1 p3,t1,0",
-            500, False, ["p0", "p3", "p4"],
+            "p1,t1,1 " * 6 + "p2,t0,1 " * 14 + "p2,t1,0 " * 7,
+            500, False, ["p1", "t0"],
         ),
     }
 
@@ -402,15 +404,16 @@ class TestFit:
         monkeypatch.setattr(_Kernel, "at", spy)
         records, _, _ = synthetic(6, 5, seed=3)
         result = fit_rasch(records)
-        # The start, each iteration's full step and the gauge-shifted end point.
+        # The start and each iteration's full step; the gauge shift keeps the last point's
+        # log-likelihood, so the shifted end point is not evaluated.
         assert result.converged and result.iterations > 2
-        assert len(points) == len(set(points)) == result.iterations + 2
+        assert len(points) == len(set(points)) == result.iterations + 1
         points.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             result = fit_rasch(self._records_of(self.SOLVER_PATHS["step_halved"][0]), ridge=0.0, slope=3.0)
         # Each halving adds one candidate, evaluated once.
-        assert len(points) == len(set(points)) > result.iterations + 2
+        assert len(points) == len(set(points)) > result.iterations + 1
 
     def test_ids_that_differ_by_a_trailing_nul_stay_apart(self):
         records = make_records([("a", "t", True), ("a\0", "t", False), ("a", "t\0", False)])
@@ -536,6 +539,81 @@ class TestNewtonStep:
             result = fit_rasch(make_records(pairs), ridge=0.0, max_iter=50)
         assert "ace" in result.extreme
         assert all(math.isfinite(v) for v in result.abilities.values())
+
+
+def zero_start_fit(kernel, tol, max_iter=500):
+    """Reference: damped Newton on the kernel from w = 0, gauge-fixed as ``_fit`` does.
+
+    Each step is ``_Kernel.newton``'s, or the gradient where that fails, halved until
+    the objective does not fall; the loop stops at ``tol`` or when no step is taken.
+    """
+    w = np.zeros(kernel.n_p + kernel.n_t)
+    _, obj, g, p = kernel.at(w)
+    for _ in range(max_iter):
+        if np.abs(g).max() < tol:
+            break
+        try:
+            step = kernel.newton(g, p)
+        except np.linalg.LinAlgError:
+            step = g
+        step = step if np.isfinite(step).all() else g
+        t = 1.0
+        while t > 1e-12:
+            cand_obj, cand_g, cand_p = kernel.at(w + t * step)[1:]
+            if cand_obj >= obj:
+                w, obj, g, p = w + t * step, cand_obj, cand_g, cand_p
+                break
+            t *= 0.5
+        else:
+            break
+    return w - w[kernel.n_p :].mean()
+
+
+# (records, slope, ridge) fitted from the marginal-logit start and from zero.
+STARTS = {
+    "scalar_slope": (synthetic(8, 5, seed=13)[0], 1.7, 0.01),
+    "slope_mapping": (synthetic(6, 4, seed=11)[0], {f"t{j:03d}": 0.5 + 0.3 * j for j in range(4)}, 0.05),
+    "slope_zero": (synthetic(5, 4, seed=5)[0], 0.0, 0.01),
+    # with a person who passes every task: an all-success identifier
+    "ridge_zero_extreme": (
+        synthetic(7, 4, seed=21)[0] + [OutcomeRecord("ace", f"t{j:03d}", True) for j in range(4)], 1.0, 0.0
+    ),
+    "one_record": ([OutcomeRecord("a", "t", True)], 1.0, 0.01),
+}
+
+
+class TestStart:
+    TOL = 1e-10
+
+    def fit(self, records, slope, ridge):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the unpenalized extremes
+            return fit_rasch(records, slope=slope, ridge=ridge, tol=self.TOL)
+
+    @pytest.mark.parametrize("case", STARTS)
+    def test_the_fit_reaches_the_zero_start_optimum(self, case):
+        records, slope, ridge = STARTS[case]
+        result = self.fit(records, slope, ridge)
+        persons, tasks = sorted(result.abilities), sorted(result.difficulties)
+        kernel = _Kernel(estimate._log(_columns(records), persons, tasks), slope, ridge)
+        w = np.array([result.abilities[k] for k in persons] + [result.difficulties[k] for k in tasks])
+        reference = zero_start_fit(kernel, self.TOL)
+        objective, reference_objective = kernel.at(w)[1], kernel.at(reference)[1]
+        assert result.converged
+        assert objective == pytest.approx(reference_objective, rel=1e-9, abs=0.0)
+        if ridge or not result.extreme:  # else the extremes diverge, each fit stopping where it may
+            np.testing.assert_allclose(w, reference, rtol=0.0, atol=1e-6)
+        # The fit stopped with its gradient below tol; the gauge shift then added the same
+        # ridge * offset to every component, which half the gradient's spread does not see.
+        g = gradient(records, result.abilities, result.difficulties, slope, ridge)
+        assert ((g.max() - g.min()) / 2 if ridge else np.abs(g).max()) < self.TOL
+
+    @pytest.mark.parametrize("case", STARTS)
+    def test_the_start_keeps_the_fit_permutation_invariant(self, case):
+        records, slope, ridge = STARTS[case]
+        shuffled = list(records)
+        random.Random(7).shuffle(shuffled)
+        assert self.fit(shuffled, slope, ridge) == self.fit(records, slope, ridge)
 
 
 def reference_at(kernel, w):
@@ -824,9 +902,11 @@ class TestOutcomeCsv:
 
 
 # Id bytes that a plain log may hold: printable ASCII other than the quote and the comma.
-PLAIN_ID = st.text("".join(chr(c) for c in range(0x21, 0x7F) if chr(c) not in '",'), min_size=1, max_size=8)
+PLAIN_BYTES = "".join(chr(c) for c in range(0x21, 0x7F) if chr(c) not in '",')
+# Ids of one key word (up to 8 bytes) and of several (9 to 32 bytes).
+PLAIN_ID = st.text(PLAIN_BYTES, min_size=1, max_size=8) | st.text(PLAIN_BYTES, min_size=9, max_size=32)
 RENDERINGS = [
-    "plain", "bom", "crlf", "quoted", "padded", "blank_line", "no_final_newline", "nine_bytes",
+    "plain", "bom", "crlf", "quoted", "padded", "blank_line", "no_final_newline", "too_long",
     "non_ascii", "bad_utf8", "two_fields", "four_fields", "success", "empty_id",
 ]
 
@@ -843,8 +923,8 @@ def rendered_logs(draw):
         row[field] = f'"{row[field]}"'
     elif how == "padded":  # \x1c is whitespace to str.strip, not to bytes.strip
         row[draw(st.integers(0, 2))] += draw(st.sampled_from([" ", "\t", "\x1c"]))
-    elif how == "nine_bytes":
-        row[field] = (row[field] * 9)[:9]
+    elif how == "too_long":
+        row[field] = (row[field] * 33)[:33]
     elif how == "non_ascii":
         row[field] += "\xe9"
     elif how == "bad_utf8":
@@ -897,6 +977,21 @@ class TestPlainLog:
             w.writerows(
                 (f"p{i:05d}", f"t{j:04d}", (i * j) % 3 % 2) for i in range(40) for j in range(0, 500, 7)
             )
+        assert estimate._plain_log(path.read_bytes()) is not None
+        expected = read_outcome(lambda p: estimate._log(estimate._read_columns(p)), str(path))
+        assert read_outcome(estimate._read_log, str(path)) == expected
+
+    @pytest.mark.parametrize("width", [9, 15, 16, 17, 24, 31, 32])
+    def test_ids_of_several_key_words_read_as_the_csv_reader_reads_them(self, tmp_path, width):
+        # Ids that share their first 8, 16 or 24 bytes, and ids that are a prefix of others,
+        # as persons and as tasks: only a later word of the key tells them apart.
+        stem = ("0123456789abcdefghijklmnopqrstuv" * 2)[: width - 1]
+        ids = sorted({stem[:k] + tail for k in (7, 8, 9, 15, 16, 17, 24, width - 1) for tail in "~!a"})
+        ids = [i for i in ids if len(i) <= width]
+        rows = [(p, t, (i + j) % 2) for i, p in enumerate(ids) for j, t in enumerate(reversed(ids)) if (i + j) % 3]
+        path = tmp_path / "log.csv"
+        path.write_text("person,task,success\n" + "".join(f"{p},{t},{y}\n" for p, t, y in rows))
+        assert max(map(len, ids)) == width
         assert estimate._plain_log(path.read_bytes()) is not None
         expected = read_outcome(lambda p: estimate._log(estimate._read_columns(p)), str(path))
         assert read_outcome(estimate._read_log, str(path)) == expected
