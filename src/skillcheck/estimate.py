@@ -39,7 +39,6 @@ SlopeSpec = Union[float, Mapping[str, float]]
 # under 1e307 for any n below 2**63; past 1.35e154 it overflows a float at n = 1.
 _MAX_SLOPE = 1e144
 _Columns = tuple[Sequence[str], Sequence[str], Sequence[bool]]  # person, task, success
-_ID_BYTES = 32  # the longest id of a plain log: four 8-byte words of its key
 
 
 class _Log(NamedTuple):
@@ -75,9 +74,7 @@ class FitResult:
     failures; their unpenalized estimates would diverge. ``connected`` is
     False when the person/task graph splits into components, in which case
     logits are only comparable within a component. ``log_likelihood`` is
-    the unpenalized data log-likelihood at the fit's last point before the
-    gauge shift, which keeps every ability - difficulty: it is the value at
-    the returned parameters up to rounding in the last digits.
+    the unpenalized data log-likelihood at the returned parameters.
     """
 
     abilities: dict[str, float]
@@ -370,7 +367,7 @@ def _fit(log: _Log, *, slope: SlopeSpec, ridge: float, max_iter: int, tol: float
     start[n_p:] = start[n_p:].mean() - start[n_p:]
     info = kernel.sums(kernel.n * kernel.r * kernel.r) + 4.0 * ridge
     w = np.divide(start * kernel.sums(kernel.n * kernel.r), info, out=np.zeros_like(start), where=info > 0.0)
-    ll, obj, g, p = kernel.at(w)
+    _, obj, g, p = kernel.at(w)
     trace = [obj]
     iterations = 0
     while True:
@@ -390,11 +387,11 @@ def _fit(log: _Log, *, slope: SlopeSpec, ridge: float, max_iter: int, tol: float
         t = 1.0
         while t > 1e-12:
             candidate = w + t * direction
-            cand_ll, cand_obj, cand_g, cand_p = kernel.at(candidate)
+            _, cand_obj, cand_g, cand_p = kernel.at(candidate)
             if cand_obj >= obj or (
                 obj - cand_obj <= 8 * np.spacing(abs(obj)) and float(np.abs(cand_g).max()) < g_max
             ):
-                w, ll, obj, g, p = candidate, cand_ll, cand_obj, cand_g, cand_p
+                w, obj, g, p = candidate, cand_obj, cand_g, cand_p
                 break
             t *= 0.5
         iterations += 1
@@ -402,8 +399,7 @@ def _fit(log: _Log, *, slope: SlopeSpec, ridge: float, max_iter: int, tol: float
         if t <= 1e-12:  # no step was accepted
             break
 
-    # Gauge fix: difficulties sum to zero, offset absorbed into abilities. The shift keeps
-    # every ability - difficulty, so the last accepted point's log-likelihood stands.
+    # Gauge fix: difficulties sum to zero, offset absorbed into abilities.
     offset = float(np.mean(w[n_p:]))
     w = w - offset
 
@@ -413,7 +409,7 @@ def _fit(log: _Log, *, slope: SlopeSpec, ridge: float, max_iter: int, tol: float
     return FitResult(
         abilities=dict(zip(persons, w[:n_p].tolist())),
         difficulties=dict(zip(tasks, w[n_p:].tolist())),
-        log_likelihood=float(ll),
+        log_likelihood=float(kernel.at(w)[0]),
         iterations=iterations,
         converged=converged,
         extreme=extreme,
@@ -540,7 +536,7 @@ def _plain_log(data: bytes) -> Union[_Log, None]:
 
     Plain is an optional UTF-8 byte-order mark and a header that ``_read_columns``
     accepts, free of quotes and CRs, then lines ``person,task,success`` each ending
-    in ``\\n``: ids of 1-32 bytes in 0x21-0x7E other than ``"``, within the csv field
+    in ``\\n``: ids of 1-8 bytes in 0x21-0x7E other than ``"``, within the csv field
     limit, and a success of ``0`` or ``1``. ``csv.reader`` splits such a file at its
     commas and ``str.strip`` finds nothing to remove, so it reads the same log.
     """
@@ -566,40 +562,25 @@ def _plain_log(data: bytes) -> Union[_Log, None]:
     bit = body[starts[:, 2]]
     if (
         widths.min() < 1
-        or widths.max() > min(_ID_BYTES, limit)  # an id's bytes fit its key's words
+        or widths.max() > min(8, limit)  # an id's bytes fit one uint64 key
         or (widths[:, 2] != 1).any()
         or (bit - ord("0")).max() > 1  # uint8: a byte below "0" wraps past 1
     ):
         return None
-    # Each id's bytes, left-aligned in a key of big-endian words and zero-padded: for ASCII
-    # ids without NUL this orders keys, word by word, as ``sorted`` orders the strings.
-    # Right-aligned, "b" would sort before "ab". ``words`` reads 8 bytes from every offset.
-    padded = np.concatenate((body, np.zeros(_ID_BYTES, np.uint8)))
-    words = np.ndarray((body.size + _ID_BYTES - 8,), ">u8", padded, 0, (1,))
-    keys = [  # per column, one word per 8 bytes of its longest id
-        [words[start + k].astype(np.uint64) for k in range(0, int(width.max()), 8)]
-        for start, width in zip(starts[:, :2].T, widths[:, :2].T)
-    ]
+    # Each id's bytes, left-aligned in a big-endian key and zero-padded: for ASCII ids
+    # without NUL this orders keys as ``sorted`` orders the strings. Right-aligned,
+    # "b" would sort before "ab". ``words`` reads the 8 bytes from every offset.
+    padded = np.concatenate((body, np.zeros(8, np.uint8)))
+    words = np.ndarray((body.size,), ">u8", padded, 0, (1,))
+    keys = words[starts[:, :2]].astype(np.uint64)
     del words, padded, starts
-    for key, width in zip(keys, widths[:, :2].T.astype(np.int8)):  # int8: one byte a row to pass over
-        for k, word in zip(range(0, _ID_BYTES, 8), key):
-            shift = (64 - 8 * np.clip(width - k, 1, 8)).astype(np.uint8)
-            word >>= shift  # drops the bytes past each id
-            word <<= shift
-            word[width <= k] = 0  # the id ended before this word
-    del widths, word, shift
+    shift = (64 - 8 * widths[:, :2]).astype(np.uint64)
+    keys >>= shift  # drops the bytes past each id
+    keys <<= shift
+    del shift, widths
     coded = []
-    for key in keys:
-        # Codes in key order: each further word ranks the pair (codes so far, rank of the
-        # word), a number below rows**2.
-        codes = np.unique(key[0], return_inverse=True)[1]
-        for word in key[1:]:
-            rank = np.unique(word, return_inverse=True)[1]
-            codes = np.unique(codes * (rank.max() + 1) + rank, return_inverse=True)[1]
-        first = np.zeros(codes.max() + 1, np.intp)
-        first[codes] = np.arange(len(codes))  # a record of each id, any one
-        ids = np.stack([word[first] for word in key], axis=1).astype(">u8").view(f"S{8 * len(key)}")
-        coded.append((ids.ravel().astype(str).tolist(), codes))
-    del keys
+    for column in keys.T:
+        ids, codes = np.unique(column, return_inverse=True)
+        coded.append((ids.astype(">u8").view("S8").astype(str).tolist(), codes))
     (persons, pi), (tasks, ti) = coded
     return _Log(persons, tasks, pi, ti, (bit == ord("1")).astype(float))

@@ -1,7 +1,10 @@
-"""Hash what the CLI prints for every command of the benchmark workloads, and compare hashes.
+"""Hash what the CLI prints for every command of the benchmark workloads, and compare hashes;
+sweep every benchmark fit log at four flag sets, and compare sweeps.
 
     python tests/same_bytes.py hash OUT.json [--src DIR]
     python tests/same_bytes.py diff OLD.json NEW.json
+    python tests/same_bytes.py sweep OUT.json [--src DIR]
+    python tests/same_bytes.py sweep-diff OLD.json NEW.json
 
 ``hash`` builds the command lines of ``bench/workloads.py`` at seeds 1-3, the
 warm-ups included. To reach code the workloads never run, it adds each curve
@@ -21,6 +24,15 @@ relative to it, so two runs give the same command lines.
 ``diff`` prints how many command lines differ between two such files (one missing
 from either file counts), then the first few of them. It exits 1 if any differ.
 
+``sweep`` writes the fit logs of the workloads at seeds 1-3 (two batch logs and the
+session logs of each) and the logs under ``tests/data``, fits each one at every flag
+set of ``FLAGS``, and writes ``{flag set: {log: stdout}}`` as JSON; ``--src`` as for
+``hash``. ``sweep-diff`` prints, per flag set, how many fits changed ``converged`` or
+``extreme``, how many printed identical JSON, the iteration totals of both sweeps,
+and the largest logit difference over ids that are not extreme, over all logs and
+over logs with no extreme id. It exits 1 if any fit changed ``converged`` or
+``extreme``, or printed no JSON.
+
 Files under ``bench/`` are only read. pytest does not collect this file.
 """
 
@@ -35,13 +47,23 @@ import itertools
 import json
 import os
 import shlex
+import shutil
 import sys
 import tempfile
 from pathlib import Path
+from types import ModuleType
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
 SHOWN = 10  # differing command lines that ``diff`` prints
+DATA = ROOT / "tests" / "data"
+# The flag sets of ``sweep``.
+FLAGS = {
+    "bench": ["--ridge", "0.01", "--tol", "1e-06", "--max-iter", "60"],  # the benchmark's
+    "defaults": [],
+    "ridge 0": ["--ridge", "0"],
+    "slope 2.5, ridge 0.001": ["--slope", "2.5", "--ridge", "0.001"],
+}
 
 # Every subcommand, each of whose ``--help`` is in EDGES.
 SUBCOMMANDS = ("dist", "check", "opposed", "grade", "evidence", "compare", "figure", "fit", "simulate")
@@ -54,19 +76,16 @@ TWELVE_BY_SIX = "".join(
         "000001101111011011000100110111111010001000111011110111000000111111101101",
     )
 )
-# Renderings of it on either side of the plain-log fast path, with the same bytes out: a
-# 9-byte and a 32-byte id, which it reads as keys of two and four words, and what it must
-# leave to the csv reader: CRLF, a quoted id, space-padded fields, no final newline, a
-# 33-byte id, an invalid UTF-8 byte past the reader's first 8 KiB chunk (its error names a
-# position in the chunk), and a field longer than csv.field_size_limit().
+# Renderings of it that the plain-log fast path must leave to the csv reader, with the same
+# bytes out: CRLF, a quoted id, space-padded fields, no final newline, a 9-byte id, an invalid
+# UTF-8 byte past the reader's first 8 KiB chunk (its error names a position in the chunk),
+# and a field longer than csv.field_size_limit().
 BOUNDARY = {
     "crlf.csv": ("person,task,success\n" + TWELVE_BY_SIX).replace("\n", "\r\n"),
     "quoted.csv": 'person,task,success\n"p0"' + TWELVE_BY_SIX[2:],
     "padded.csv": "person , task,success\n" + TWELVE_BY_SIX.replace(",t3,", ", t3 , "),
     "no_final_newline.csv": "person,task,success\n" + TWELVE_BY_SIX[:-1],
     "nine_byte_id.csv": "person,task,success\n" + TWELVE_BY_SIX.replace("p11,", "person011,"),
-    "32_byte_id.csv": "person,task,success\n" + TWELVE_BY_SIX.replace("p11,", "p" * 30 + "11,"),
-    "33_byte_id.csv": "person,task,success\n" + TWELVE_BY_SIX.replace("p11,", "p" * 31 + "11,"),
     "bad_utf8_past_8k.csv": ("person,task,success\n" + TWELVE_BY_SIX * 20).encode() + b"p\xff,t0,1\n",
     "past_field_limit.csv": "person,task,success\na,t,1\nb," + "t" * (csv.field_size_limit() + 1) + ",0\n",
 }
@@ -77,7 +96,7 @@ LOGS: dict[str, str | bytes] = {
     **BOUNDARY,
     "disconnected.csv": "person,task,success\na,t1,1\na,t1,0\nb,t2,1\nb,t2,0\n",
     "all_success.csv": "person,task,success\na,t1,1\nb,t2,1\n",
-    "stall_seed12_session68.csv": (ROOT / "tests" / "data" / "stall_seed12_session68.csv").read_text(),
+    "stall_seed12_session68.csv": (DATA / "stall_seed12_session68.csv").read_text(),
     **{
         f"{path}.csv": "person,task,success\n" + "\n".join(rows.split()) + "\n"
         for path, rows in [
@@ -107,24 +126,35 @@ EDGES = [
 ]
 
 
+def build_workloads(*names: str) -> tuple[ModuleType, list]:
+    """``bench/workloads.py`` and each of its workloads (those named, or all) at SEEDS.
+
+    Writes their logs under the working directory.
+    """
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+
+    built = []
+    for name in names or workloads.WORKLOADS:
+        for seed in SEEDS:
+            folder = Path(f"{name}-{seed}")
+            folder.mkdir()
+            built.append(workloads.build(name, seed, folder))
+    return workloads, built
+
+
 def command_lines() -> dict[str, list[str]]:
     """Every distinct command line of the workloads at SEEDS, then the full curve reports
     and EDGES, keyed by its shell form.
 
     Writes the fit logs under the working directory.
     """
-    sys.path.insert(0, str(ROOT / "bench"))
-    import workloads
-
+    workloads, built = build_workloads()
     argvs: list[list[str]] = []
-    for name in workloads.WORKLOADS:
-        for seed in SEEDS:
-            folder = Path(f"{name}-{seed}")
-            folder.mkdir()
-            workload = workloads.build(name, seed, folder)
-            argvs += [*workload.warmup, *(op.argv for op in workload.ops)]
-            batch_fits = [op.argv for op in workload.ops if op.kind == workloads.BATCH and op.argv[0] == "fit"]
-            argvs += [argv[:3] for argv in batch_fits]  # fit --input LOG, at the CLI defaults
+    for workload in built:
+        argvs += [*workload.warmup, *(op.argv for op in workload.ops)]
+        batch_fits = [op.argv for op in workload.ops if op.kind == workloads.BATCH and op.argv[0] == "fit"]
+        argvs += [argv[:3] for argv in batch_fits]  # fit --input LOG, at the CLI defaults
     for argv in list(argvs):
         if argv[:3] in (["compare", "--pair", "normal"], ["compare", "--pair", "uniform"]):
             argvs.append([a for a in argv if a != "--summary"])
@@ -136,30 +166,56 @@ def command_lines() -> dict[str, list[str]]:
     return lines
 
 
-def digest(cli, argv: list[str]) -> str:
+def import_cli(src: Path) -> ModuleType:
+    """``skillcheck.cli`` from the source tree ``src``, with one BLAS thread."""
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(name, "1")  # before numpy is first imported
+    sys.path.insert(0, str(src))
+    from skillcheck import cli
+
+    if not Path(cli.__file__).resolve().is_relative_to(src):
+        sys.exit(f"error: skillcheck imported from {cli.__file__}, not {src}")
+    return cli
+
+
+def outcome(cli: ModuleType, argv: list[str]) -> tuple[str, str, str]:
+    """Exit code, stdout and stderr of one command line."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = str(cli.main(argv))
         except Exception as exc:  # an exception escaping main is an outcome too
             code = f"raised {type(exc).__name__}: {exc}"
-    return hashlib.sha256(f"{code}\0{out.getvalue()}\0{err.getvalue()}".encode()).hexdigest()
+    return code, out.getvalue(), err.getvalue()
 
 
 def hash_outputs(out: Path, src: Path) -> None:
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(name, "1")  # before numpy is first imported
     os.environ["COLUMNS"] = "80"  # argparse wraps help text to the terminal's width
-    sys.path.insert(0, str(src))
-    from skillcheck import cli
-
-    if not Path(cli.__file__).resolve().is_relative_to(src):
-        sys.exit(f"error: skillcheck imported from {cli.__file__}, not {src}")
+    cli = import_cli(src)
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        hashes = {line: digest(cli, argv) for line, argv in command_lines().items()}
+        hashes = {
+            line: hashlib.sha256("\0".join(outcome(cli, argv)).encode()).hexdigest()
+            for line, argv in command_lines().items()
+        }
     out.write_text(json.dumps(hashes, indent=0, sort_keys=True) + "\n")
     print(f"{len(hashes)} command lines hashed into {out}")
+
+
+def sweep(out: Path, src: Path) -> None:
+    cli = import_cli(src)
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        logs = sorted({op.argv[2] for workload in build_workloads("fit")[1] for op in workload.ops})
+        for path in sorted(DATA.glob("*.csv")):
+            shutil.copy(path, path.name)
+            logs.append(path.name)
+        fits = {
+            flags: {log: outcome(cli, ["fit", "--input", log, *argv])[1] for log in logs}
+            for flags, argv in FLAGS.items()
+        }
+    out.write_text(json.dumps(fits, indent=0, sort_keys=True) + "\n")
+    print(f"{len(logs)} logs fitted at {len(FLAGS)} flag sets into {out}")
 
 
 def diff(old: Path, new: Path) -> int:
@@ -171,19 +227,64 @@ def diff(old: Path, new: Path) -> int:
     return 1 if differ else 0
 
 
+def logits(fit: dict) -> dict[str, float]:
+    return {**fit["abilities"], **fit["difficulties"]}
+
+
+def sweep_diff(old: Path, new: Path) -> int:
+    a, b = json.loads(old.read_text()), json.loads(new.read_text())
+    bad = 0
+    for flags in sorted(a.keys() | b.keys()):
+        logs = a.get(flags, {}).keys() | b.get(flags, {}).keys()
+        same = flipped = broken = 0
+        iterations = [0, 0]
+        worst = {"all logs": 0.0, "logs with no extreme id": 0.0}
+        for log in sorted(logs):
+            try:
+                fits = [json.loads(fitted[flags][log]) for fitted in (a, b)]
+            except (KeyError, json.JSONDecodeError):
+                broken += 1
+                continue
+            same += a[flags][log] == b[flags][log]
+            flipped += any(fits[0][key] != fits[1][key] for key in ("converged", "extreme"))
+            iterations = [total + fit["iterations"] for total, fit in zip(iterations, fits)]
+            extreme = set(fits[0]["extreme"]) | set(fits[1]["extreme"])
+            old_logits, new_logits = map(logits, fits)
+            gap = max((abs(old_logits[k] - new_logits[k]) for k in old_logits.keys() - extreme), default=0.0)
+            worst["all logs"] = max(worst["all logs"], gap)
+            if not extreme:
+                worst["logs with no extreme id"] = max(worst["logs with no extreme id"], gap)
+        bad += flipped + broken
+        print(f"{flags}: {len(logs)} fits")
+        print(f"- converged or extreme changed: {flipped}; no JSON from a sweep: {broken}")
+        print(f"- identical JSON: {same}")
+        print(f"- iterations: {iterations[0]} -> {iterations[1]}")
+        for over, gap in worst.items():
+            print(f"- largest logit difference over ids not extreme, {over}: {gap:.3g}")
+    return 1 if bad else 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("hash", help="hash the outputs of every workload command line")
-    p.add_argument("out", type=Path, help="JSON file to write")
-    p.add_argument("--src", type=Path, default=ROOT / "src", help="source tree holding skillcheck")
-    p = sub.add_parser("diff", help="list the command lines whose hashes differ")
-    p.add_argument("old", type=Path)
-    p.add_argument("new", type=Path)
+    for command, text in [
+        ("hash", "hash the outputs of every workload command line"),
+        ("sweep", "fit every benchmark fit log at every flag set"),
+    ]:
+        p = sub.add_parser(command, help=text)
+        p.add_argument("out", type=Path, help="JSON file to write")
+        p.add_argument("--src", type=Path, default=ROOT / "src", help="source tree holding skillcheck")
+    for command, text in [
+        ("diff", "list the command lines whose hashes differ"),
+        ("sweep-diff", "compare two sweeps"),
+    ]:
+        p = sub.add_parser(command, help=text)
+        p.add_argument("old", type=Path)
+        p.add_argument("new", type=Path)
     args = parser.parse_args()
-    if args.command == "diff":
-        return diff(args.old, args.new)
-    hash_outputs(args.out.resolve(), args.src.resolve())
+    if args.command in ("diff", "sweep-diff"):
+        return (diff if args.command == "diff" else sweep_diff)(args.old, args.new)
+    (hash_outputs if args.command == "hash" else sweep)(args.out.resolve(), args.src.resolve())
     return 0
 
 
