@@ -99,11 +99,12 @@ def _cmd_check(args, parser) -> None:
     print(f"{int(result.success)},{_fmt(result.probability_used)},{raw}")
 
 
-# Opposed pairing flag stem to A's chance of winning (expected score for ratings).
+# Opposed pairing flag stem to A's chance of winning (expected score for ratings), and what
+# its --{stem}-a and --{stem}-b flags hold.
 _PAIRINGS = {
-    "skill": resolve.opposed,
-    "logit": resolve.opposed_logit,
-    "rating": resolve.elo_expected,
+    "skill": (resolve.opposed, "multiplicative skill"),
+    "logit": (resolve.opposed_logit, "logit skill"),
+    "rating": (resolve.elo_expected, "Elo rating"),
 }
 
 
@@ -116,7 +117,7 @@ def _cmd_opposed(args, parser) -> None:
     a, b = pairs[kind]
     if a is None or b is None:
         parser.error(f"both --{kind}-a and --{kind}-b are required")
-    value = _PAIRINGS[kind](a, b)
+    value = _PAIRINGS[kind][0](a, b)
     if kind != "rating":
         print("probability")
         print(_fmt(value))
@@ -228,12 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("opposed", help="chance of one skill beating another, or an Elo update")
-    p.add_argument("--skill-a", type=float, help="multiplicative skill of A")
-    p.add_argument("--skill-b", type=float, help="multiplicative skill of B")
-    p.add_argument("--logit-a", type=float, help="logit skill of A")
-    p.add_argument("--logit-b", type=float, help="logit skill of B")
-    p.add_argument("--rating-a", type=float, help="Elo rating of A")
-    p.add_argument("--rating-b", type=float, help="Elo rating of B")
+    for kind, (_, held) in _PAIRINGS.items():
+        for side in "ab":
+            p.add_argument(f"--{kind}-{side}", type=float, help=f"{held} of {side.upper()}")
     p.add_argument("--k", type=float, default=32.0, help="Elo k-factor (default 32)")
     p.add_argument("--score", type=float, choices=[0.0, 0.5, 1.0], help="game result for A")
     p.set_defaults(func=_cmd_opposed)

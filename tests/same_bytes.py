@@ -19,19 +19,24 @@ It runs each distinct one once through ``skillcheck.cli.main`` in this process a
 names the source tree to import ``skillcheck`` from (this checkout's ``src`` by
 default), so that one checkout's command lines can be run against another's code,
 one process each. The fit logs are written to a temporary directory and named
-relative to it, so two runs give the same command lines.
+relative to it, so two runs give the same command lines. The edges' fit logs are the
+stalled log under ``tests/data``, renderings of the 12x6 log, and the warning and
+rare-path logs, each named after its key in ``tests/fit_logs.py``.
 
 ``diff`` prints how many command lines differ between two such files (one missing
 from either file counts), then the first few of them. It exits 1 if any differ.
 
 ``sweep`` writes the fit logs of the workloads at seeds 1-3 (two batch logs and the
 session logs of each) and the logs under ``tests/data``, fits each one at every flag
-set of ``FLAGS``, and writes ``{flag set: {log: stdout}}`` as JSON; ``--src`` as for
-``hash``. ``sweep-diff`` prints, per flag set, how many fits changed ``converged`` or
-``extreme``, how many printed identical JSON, the iteration totals of both sweeps,
-and the largest logit difference over ids that are not extreme, over all logs and
-over logs with no extreme id. It exits 1 if any fit changed ``converged`` or
-``extreme``, or printed no JSON.
+set of ``FLAGS``, and writes ``{flag set: {log: {"stdout": ..., "bits": ...}}}`` as
+JSON; ``--src`` as for ``hash``. ``bits`` holds the abilities, the difficulties and
+the log-likelihood as ``float.hex``, from the tree's public ``fit_rasch`` and
+``read_outcome_csv`` at the flag values of its ``cli.build_parser()``, so a change of a
+few ulps that 12 printed digits hide still shows. ``sweep-diff`` prints, per flag set,
+how many fits changed ``converged`` or ``extreme``, how many printed identical JSON, how
+many are bit-identical, the iteration totals of both sweeps, and the largest logit
+difference over ids that are not extreme, over all logs and over logs with no extreme
+id. It exits 1 if any fit changed ``converged`` or ``extreme``, or printed no JSON.
 
 Files under ``bench/`` are only read. pytest does not collect this file.
 """
@@ -43,15 +48,17 @@ import contextlib
 import csv
 import hashlib
 import io
-import itertools
 import json
 import os
 import shlex
 import shutil
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from types import ModuleType
+
+from fit_logs import SOLVER_PATHS, TWELVE_BY_SIX, WARNED
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
@@ -68,43 +75,26 @@ FLAGS = {
 # Every subcommand, each of whose ``--help`` is in EDGES.
 SUBCOMMANDS = ("dist", "check", "opposed", "grade", "evidence", "compare", "figure", "fit", "simulate")
 
-# The 12x6 log of tests/test_cli.py, whose fit is FIT_GOLDEN there.
-TWELVE_BY_SIX = "".join(
-    f"p{i},t{j},{bit}\n"
-    for (i, j), bit in zip(
-        itertools.product(range(12), range(6)),
-        "000001101111011011000100110111111010001000111011110111000000111111101101",
-    )
-)
-# Renderings of it that the plain-log fast path must leave to the csv reader, with the same
-# bytes out: CRLF, a quoted id, space-padded fields, no final newline, a 9-byte id, an invalid
-# UTF-8 byte past the reader's first 8 KiB chunk (its error names a position in the chunk),
-# and a field longer than csv.field_size_limit().
+# Renderings of the 12x6 log that the plain-log fast path must leave to the csv reader, with
+# the same bytes out: CRLF, a quoted id, space-padded fields, no final newline, a 9-byte id, an
+# invalid UTF-8 byte past the reader's first 8 KiB chunk (its error names a position in the
+# chunk), and a field longer than csv.field_size_limit().
 BOUNDARY = {
-    "crlf.csv": ("person,task,success\n" + TWELVE_BY_SIX).replace("\n", "\r\n"),
-    "quoted.csv": 'person,task,success\n"p0"' + TWELVE_BY_SIX[2:],
-    "padded.csv": "person , task,success\n" + TWELVE_BY_SIX.replace(",t3,", ", t3 , "),
-    "no_final_newline.csv": "person,task,success\n" + TWELVE_BY_SIX[:-1],
-    "nine_byte_id.csv": "person,task,success\n" + TWELVE_BY_SIX.replace("p11,", "person011,"),
-    "bad_utf8_past_8k.csv": ("person,task,success\n" + TWELVE_BY_SIX * 20).encode() + b"p\xff,t0,1\n",
+    "crlf.csv": TWELVE_BY_SIX.replace("\n", "\r\n"),
+    "quoted.csv": TWELVE_BY_SIX.replace("p0,", '"p0",', 1),
+    "padded.csv": TWELVE_BY_SIX.replace("person,", "person , ").replace(",t3,", ", t3 , "),
+    "no_final_newline.csv": TWELVE_BY_SIX[:-1],
+    "nine_byte_id.csv": TWELVE_BY_SIX.replace("p11,", "person011,"),
+    "bad_utf8_past_8k.csv": (TWELVE_BY_SIX + TWELVE_BY_SIX.split("\n", 1)[1] * 19).encode() + b"p\xff,t0,1\n",
     "past_field_limit.csv": "person,task,success\na,t,1\nb," + "t" * (csv.field_size_limit() + 1) + ",0\n",
 }
-
+# The logs that warn and those that take the solver's rare paths, each at its flags.
+PINNED = {**WARNED, **SOLVER_PATHS}
 # Domain edges and warnings, with the fit logs they read (written beside the workloads').
-# The three small logs take the rare solver paths of tests/test_cli.py at --ridge 0 --slope 3.
 LOGS: dict[str, str | bytes] = {
     **BOUNDARY,
-    "disconnected.csv": "person,task,success\na,t1,1\na,t1,0\nb,t2,1\nb,t2,0\n",
-    "all_success.csv": "person,task,success\na,t1,1\nb,t2,1\n",
+    **{f"{name}.csv": log.text for name, log in PINNED.items()},
     "stall_seed12_session68.csv": (DATA / "stall_seed12_session68.csv").read_text(),
-    **{
-        f"{path}.csv": "person,task,success\n" + "\n".join(rows.split()) + "\n"
-        for path, rows in [
-            ("step_halved", "p0,t0,1 p0,t0,0 p0,t1,1"),
-            ("line_search_fails", "p0,t1,1 " * 7 + "p1,t0,0 " + "p1,t1,1 " * 3 + "p3,t0,1 " * 2 + "p4,t1,0 " * 6 + "p4,t2,1 " * 5),
-            ("newton_not_finite", "p1,t1,1 " * 6 + "p2,t0,1 " * 14 + "p2,t1,0 " * 7),
-        ]
-    },
 }
 EDGES = [
     ["opposed", "--rating-a", "1e308", "--rating-b", "1e308", "--score", "1"],
@@ -115,11 +105,8 @@ EDGES = [
     ["compare", "--pair", "uniform", "--mean", "1e15", "--scale", "1"],
     ["compare", "--pair", "uniform", "--mean", "1e15", "--scale", "1", "--summary"],
     ["compare", "--pair", "normal", "--mean", "1e308", "--scale", "1e307", "--summary"],
-    ["fit", "--input", "disconnected.csv"],
-    ["fit", "--input", "all_success.csv", "--ridge", "0"],
+    *(["fit", "--input", f"{name}.csv", *log.flags] for name, log in PINNED.items()),
     ["fit", "--input", "stall_seed12_session68.csv"],
-    *(["fit", "--input", log, "--ridge", "0", "--slope", "3"]
-      for log in ("step_halved.csv", "line_search_fails.csv", "newton_not_finite.csv")),
     *(["fit", "--input", log] for log in BOUNDARY),
     ["--help"],
     *([command, "--help"] for command in SUBCOMMANDS),
@@ -204,16 +191,28 @@ def hash_outputs(out: Path, src: Path) -> None:
 
 def sweep(out: Path, src: Path) -> None:
     cli = import_cli(src)
+    from skillcheck import fit_rasch, read_outcome_csv  # public names, so any tree has them
+
+    parser = cli.build_parser()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         logs = sorted({op.argv[2] for workload in build_workloads("fit")[1] for op in workload.ops})
         for path in sorted(DATA.glob("*.csv")):
             shutil.copy(path, path.name)
             logs.append(path.name)
-        fits = {
-            flags: {log: outcome(cli, ["fit", "--input", log, *argv])[1] for log in logs}
-            for flags, argv in FLAGS.items()
-        }
+        fits: dict[str, dict] = {flags: {} for flags in FLAGS}
+        for log in logs:
+            records = read_outcome_csv(log)
+            for flags, extra in FLAGS.items():
+                argv = ["fit", "--input", log, *extra]
+                args = parser.parse_args(argv)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)  # the divergence --ridge 0 warns of
+                    fit = fit_rasch(records, slope=args.slope, ridge=args.ridge, max_iter=args.max_iter,
+                                    tol=args.tol)
+                values = (fit.abilities, fit.difficulties, {"log_likelihood": fit.log_likelihood})
+                bits = [{name: float.hex(value) for name, value in d.items()} for d in values]
+                fits[flags][log] = {"stdout": outcome(cli, argv)[1], "bits": bits}
     out.write_text(json.dumps(fits, indent=0, sort_keys=True) + "\n")
     print(f"{len(logs)} logs fitted at {len(FLAGS)} flag sets into {out}")
 
@@ -227,29 +226,26 @@ def diff(old: Path, new: Path) -> int:
     return 1 if differ else 0
 
 
-def logits(fit: dict) -> dict[str, float]:
-    return {**fit["abilities"], **fit["difficulties"]}
-
-
 def sweep_diff(old: Path, new: Path) -> int:
     a, b = json.loads(old.read_text()), json.loads(new.read_text())
     bad = 0
     for flags in sorted(a.keys() | b.keys()):
         logs = a.get(flags, {}).keys() | b.get(flags, {}).keys()
-        same = flipped = broken = 0
+        same = bit_identical = flipped = broken = 0
         iterations = [0, 0]
         worst = {"all logs": 0.0, "logs with no extreme id": 0.0}
         for log in sorted(logs):
             try:
-                fits = [json.loads(fitted[flags][log]) for fitted in (a, b)]
+                fits = [json.loads(fitted[flags][log]["stdout"]) for fitted in (a, b)]
             except (KeyError, json.JSONDecodeError):
                 broken += 1
                 continue
-            same += a[flags][log] == b[flags][log]
+            same += a[flags][log]["stdout"] == b[flags][log]["stdout"]
+            bit_identical += a[flags][log]["bits"] == b[flags][log]["bits"]
             flipped += any(fits[0][key] != fits[1][key] for key in ("converged", "extreme"))
             iterations = [total + fit["iterations"] for total, fit in zip(iterations, fits)]
             extreme = set(fits[0]["extreme"]) | set(fits[1]["extreme"])
-            old_logits, new_logits = map(logits, fits)
+            old_logits, new_logits = ({**fit["abilities"], **fit["difficulties"]} for fit in fits)
             gap = max((abs(old_logits[k] - new_logits[k]) for k in old_logits.keys() - extreme), default=0.0)
             worst["all logs"] = max(worst["all logs"], gap)
             if not extreme:
@@ -258,6 +254,7 @@ def sweep_diff(old: Path, new: Path) -> int:
         print(f"{flags}: {len(logs)} fits")
         print(f"- converged or extreme changed: {flipped}; no JSON from a sweep: {broken}")
         print(f"- identical JSON: {same}")
+        print(f"- bit-identical: {bit_identical}")
         print(f"- iterations: {iterations[0]} -> {iterations[1]}")
         for over, gap in worst.items():
             print(f"- largest logit difference over ids not extreme, {over}: {gap:.3g}")

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from fit_logs import FIT_GOLDEN, FIVE_RECORDS, SOLVER_PATHS, TWELVE_BY_SIX, WARNED
 from skillcheck import cli
 from skillcheck.compare import LogisticParams, figure_data, normal_vs_logistic, uniform_vs_logistic
 from skillcheck.dice import BinomialPool, MaxPool, SumRollOver, success_probability
@@ -381,50 +382,9 @@ class TestFigure:
 
 
 def _twelve_by_six_log(tmp_path):
-    rng = SplitMix64(9)
-    lines = ["person,task,success"]
-    for i in range(12):
-        for j in range(6):
-            p = 1.0 if i % 3 else 0.3
-            lines.append(f"p{i},t{j},{int(rng.random() < p * 0.8)}")
     path = tmp_path / "log.csv"
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(TWELVE_BY_SIX)
     return path
-
-
-# ``fit`` stdout for the 12x6 log, byte for byte, from the marginal-logit start.
-FIT_GOLDEN = """{
-  "abilities": {
-    "p0": -1.64712303679,
-    "p1": 1.6509703624,
-    "p10": 4.92419158749,
-    "p11": 0.720486253457,
-    "p2": 0.720486253457,
-    "p3": -1.64712303679,
-    "p4": 1.6509703624,
-    "p5": 0.720486253457,
-    "p6": -1.64712303679,
-    "p7": 1.6509703624,
-    "p8": 1.6509703624,
-    "p9": -4.85732014576
-  },
-  "difficulties": {
-    "t0": -0.0856640844255,
-    "t1": 0.504082267062,
-    "t2": -0.0856640844255,
-    "t3": 0.504082267062,
-    "t4": -0.0856640844255,
-    "t5": -0.751172280848
-  },
-  "log_likelihood": -29.596049971,
-  "converged": true,
-  "iterations": 5,
-  "extreme": [
-    "p10",
-    "p9"
-  ]
-}
-"""
 
 
 class TestFit:
@@ -448,27 +408,12 @@ class TestFit:
         assert code == 1
         assert "line 3" in err
 
-    DISCONNECTED = "person/task graph is disconnected; logits are only comparable within a component"
-    # Flags, log, the warnings it gives in order, and the sha256 of its stdout.
-    WARNED = {
-        "disconnected": (
-            (), "person,task,success\na,t1,1\na,t1,0\nb,t2,1\nb,t2,0\n", [DISCONNECTED],
-            "1074cc9dc4b68b7fc6e78f336d89ff16ffdd768e4d6c6fe98cb7d25f84dfaa29",
-        ),
-        "all_success": (
-            ("--ridge", "0"), "person,task,success\na,t1,1\nb,t2,1\n",
-            ["unpenalized fit with all-success or all-failure identifiers diverges: "
-             "['a', 'b', 't1', 't2']", DISCONNECTED],
-            "3fffc6cc8dd7992864216f2e503c8f5ccc2ec9da1e63777ad73ca0cb3f577809",
-        ),
-    }
-
     @pytest.mark.parametrize("log", WARNED)
     @pytest.mark.parametrize("source", ["path", "stdin"])
     def test_warnings_are_one_warning_line_each_on_every_call(
         self, capsys, tmp_path, monkeypatch, log, source
     ):
-        flags, text, warned, digest = self.WARNED[log]
+        flags, text, warned, digest, _ = WARNED[log]
         path = tmp_path / "log.csv"
         path.write_text(text)
         expected = (0, digest, "".join(f"warning: {w}\n" for w in warned))
@@ -478,37 +423,16 @@ class TestFit:
             code, out, err = run_cli(capsys, *argv)
             assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == expected
 
-    # Small logs that reach the solver's rare paths at ridge 0 and slope 3, with the
-    # identifiers their one warning names and the sha256 of their stdout.
-    SOLVER_PATHS = {
-        "step_halved": (
-            "p0,t0,1 p0,t0,0 p0,t1,1", "['t1']",
-            "580110a7ce455774cef0edff591f3c743ecf706377073d5621ce4b3dcb7b01cf",
-        ),
-        "line_search_fails": (
-            "p0,t1,1 " * 7 + "p1,t0,0 " + "p1,t1,1 " * 3 + "p3,t0,1 " * 2 + "p4,t1,0 " * 6 + "p4,t2,1 " * 5,
-            "['p0', 'p3', 't2']",
-            "9feda67d8ef681fafe5ac40f3fcfea4e5f7c896debec2543a026f06a40b93296",
-        ),
-        "newton_not_finite": (
-            "p1,t1,1 " * 6 + "p2,t0,1 " * 14 + "p2,t1,0 " * 7,
-            "['p1', 't0']",
-            "224f158a23d69bfb53edba8a3eb4352859399c243111a1d8e7faab5876140be6",
-        ),
-    }
-
     @pytest.mark.parametrize("log", SOLVER_PATHS)
     def test_rare_solver_paths(self, capsys, tmp_path, log):
-        rows, extreme, digest = self.SOLVER_PATHS[log]
+        flags, text, (warned,), digest, _ = SOLVER_PATHS[log]
         path = tmp_path / "log.csv"
-        path.write_text("person,task,success\n" + "\n".join(rows.split()) + "\n")
-        code, out, err = run_cli(capsys, "fit", "--input", str(path), "--ridge", "0", "--slope", "3")
-        warning = f"warning: unpenalized fit with all-success or all-failure identifiers diverges: {extreme}\n"
-        assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, digest, warning)
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "fit", "--input", str(path), *flags)
+        assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, digest, f"warning: {warned}\n")
 
-    def test_stdin_matches_path(self, capsys, tmp_path, monkeypatch):
-        path = _twelve_by_six_log(tmp_path)
-        monkeypatch.setattr("sys.stdin", io.StringIO(path.read_text()))
+    def test_stdin_matches_path(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(TWELVE_BY_SIX))
         assert run_cli(capsys, "fit", "--input", "-") == (0, FIT_GOLDEN, "")
 
     @pytest.mark.parametrize("header", ["person,task,success", '"person","task","success"'])
@@ -518,7 +442,7 @@ class TestFit:
     ):
         # Excel's "CSV UTF-8" export starts with one. Only the plain log (an unquoted header
         # and \n) takes the numpy path from a path; the others take the csv reader.
-        body = _twelve_by_six_log(tmp_path).read_text().split("\n", 1)[1]
+        body = TWELVE_BY_SIX.split("\n", 1)[1]
         text = ("\ufeff" + header + "\n" + body).replace("\n", newline)
         path = tmp_path / "bom.csv"
         path.write_bytes(text.encode("utf-8"))
@@ -694,8 +618,6 @@ class TestSimulate:
 
 
 class TestDomainEdges:
-    FIVE_RECORDS = "person,task,success\na,t1,1\na,t2,0\nb,t1,0\nb,t2,1\nc,t1,1\n"  # ``fit --input -``
-
     @pytest.mark.parametrize(
         "argv,expected",
         [
@@ -784,7 +706,7 @@ class TestDomainEdges:
         ],
     )
     def test_out_of_range_input_is_a_one_line_error(self, capsys, monkeypatch, argv, message):
-        monkeypatch.setattr("sys.stdin", io.StringIO(self.FIVE_RECORDS))
+        monkeypatch.setattr("sys.stdin", io.StringIO(FIVE_RECORDS))
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.startswith(f"error: {message}")
@@ -811,7 +733,7 @@ class TestDomainEdges:
     ):
         results = []
         for argv in ((*before, flag, value), (*before, f"{flag}={value}")):
-            monkeypatch.setattr("sys.stdin", io.StringIO(self.FIVE_RECORDS))
+            monkeypatch.setattr("sys.stdin", io.StringIO(FIVE_RECORDS))
             results.append(run_cli(capsys, *argv))
         assert results[0] == results[1]
         assert results[0][0] in (0, 1)

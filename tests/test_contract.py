@@ -36,6 +36,7 @@ from unittest import mock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fit_logs import FIVE_RECORDS
 from skillcheck import cli
 from skillcheck.compare import LogisticParams, match_normal_to_logistic, match_uniform_to_logistic
 from skillcheck.dice import outcome_distribution, success_probability
@@ -48,7 +49,6 @@ EDGES = ("nan", "-nan", "inf", "-inf", "0", "1e308", "-1e308", "1e-308", "-1e-30
          "1e-400", "-1e-400", "5e-324", "-2.5", "-1e-5")
 # Columns that print inf for odds too large for a float.
 INFINITE_ODDS = {("evidence", "odds"), ("grade", "log10L")}
-LOG = "person,task,success\na,t1,1\na,t2,0\nb,t1,0\nb,t2,1\nc,t1,1\n"
 INTS = ("0", "1", "-1", "2", str(2**63 - 1), str(2**63), str(-2**63), str(2**64 + 1), str(10**30),
         str(10**4000))
 INT_FLAGS = ("--dice", "--sides", "--target", "--modifier", "--difficulty", "--threshold", "--required")
@@ -128,7 +128,7 @@ def run(argv):
     with (
         contextlib.redirect_stdout(out),
         contextlib.redirect_stderr(err),
-        mock.patch("sys.stdin", io.StringIO(LOG)),
+        mock.patch("sys.stdin", io.StringIO(FIVE_RECORDS)),
         warnings.catch_warnings(record=True) as caught,
     ):
         warnings.simplefilter("always")

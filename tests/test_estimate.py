@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from pathlib import Path
 
+from fit_logs import DISCONNECTED, SOLVER_PATHS, WARNED
 from skillcheck import estimate
 from skillcheck.estimate import (
     FitResult,
@@ -257,32 +258,27 @@ class TestFit:
                 b = fit_b.abilities[p] - fit_b.difficulties[t]
                 assert abs(a - b) < 1e-6
 
+    # ace passes every task: an all-success identifier
+    ACE = [("ace", "t1", True), ("ace", "t2", True), ("bob", "t1", True), ("bob", "t2", False)]
+
     def test_unpenalized_extremes_warn(self):
-        records = make_records(
-            [("ace", "t1", True), ("ace", "t2", True), ("bob", "t1", True), ("bob", "t2", False)]
-        )
         with pytest.warns(RuntimeWarning, match="diverges"):
-            result = fit_rasch(records, ridge=0.0, max_iter=50)
+            result = fit_rasch(make_records(self.ACE), ridge=0.0, max_iter=50)
         assert "ace" in result.extreme
 
     def test_penalized_extremes_flagged_without_warning(self):
-        records = make_records(
-            [("ace", "t1", True), ("ace", "t2", True), ("bob", "t1", True), ("bob", "t2", False)]
-        )
-        result = fit_rasch(records, ridge=0.01)
+        result = fit_rasch(make_records(self.ACE), ridge=0.01)
         assert "ace" in result.extreme
         assert result.converged
 
     def test_disconnected_data_warns(self):
-        records = make_records(
-            [("a", "t1", True), ("a", "t1", False), ("b", "t2", True), ("b", "t2", False)]
-        )
+        records = read_outcome_csv(io.StringIO(WARNED["disconnected"].text))
         with pytest.warns(RuntimeWarning, match="disconnected"):
             result = fit_rasch(records)
         assert not result.connected
 
     def test_warnings_name_the_caller_of_fit_rasch(self):
-        records = make_records([("a", "t1", True), ("b", "t2", True)])
+        records = read_outcome_csv(io.StringIO(WARNED["all_success"].text))
         for fit, filename in (
             (lambda: fit_rasch(records, ridge=0.0), __file__),
             (lambda: RaschEstimator(ridge=0.0).fit(records), estimate.__file__),
@@ -291,11 +287,7 @@ class TestFit:
                 warnings.simplefilter("always")
                 fit()
             assert [(w.category, w.filename) for w in caught] == [(RuntimeWarning, filename)] * 2
-            assert [str(w.message) for w in caught] == [
-                "unpenalized fit with all-success or all-failure identifiers diverges: "
-                "['a', 'b', 't1', 't2']",
-                "person/task graph is disconnected; logits are only comparable within a component",
-            ]
+            assert [str(w.message) for w in caught] == WARNED["all_success"].warnings
 
     def test_reported_likelihood_is_unpenalized(self):
         records, _, _ = synthetic(5, 4, seed=7)
@@ -359,39 +351,19 @@ class TestFit:
             foc[r.task] -= resid
         assert max(foc.values()) - min(foc.values()) <= 2 * tol + 1e-8
 
-    # Small logs fitted at ridge 0 and slope 3, one per rare path of the solver loop:
-    # (rows, iterations, converged, the extreme identifiers its warning names).
-    SOLVER_PATHS = {
-        # a full step lowers the objective, so the line search halves it
-        "step_halved": ("p0,t0,1 p0,t0,0 p0,t1,1", 23, True, ["t1"]),
-        # no step down to 1e-12 is accepted: the loop stops unconverged
-        "line_search_fails": (
-            "p0,t1,1 " * 7 + "p1,t0,0 " + "p1,t1,1 " * 3 + "p3,t0,1 " * 2 + "p4,t1,0 " * 6 + "p4,t2,1 " * 5,
-            5, False, ["p0", "p3", "t2"],
-        ),
-        # Newton's direction is not finite, so the gradient is followed instead
-        "newton_not_finite": (
-            "p1,t1,1 " * 6 + "p2,t0,1 " * 14 + "p2,t1,0 " * 7,
-            500, False, ["p1", "t0"],
-        ),
-    }
-
+    # The logs of fit_logs.SOLVER_PATHS, one per rare path of the solver loop, at their
+    # flags: ridge 0 and slope 3.
     @pytest.mark.parametrize("log", SOLVER_PATHS)
     def test_rare_solver_paths(self, log):
-        rows, iterations, converged, extreme = self.SOLVER_PATHS[log]
-        records = self._records_of(rows)
-        message = f"unpenalized fit with all-success or all-failure identifiers diverges: {extreme}"
+        pinned = SOLVER_PATHS[log]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = fit_rasch(records, ridge=0.0, slope=3.0)
-        assert [str(w.message) for w in caught] == [message]
-        assert (result.iterations, result.converged) == (iterations, converged)
+            result = fit_rasch(read_outcome_csv(io.StringIO(pinned.text)), ridge=0.0, slope=3.0)
+        assert [str(w.message) for w in caught] == pinned.warnings
+        assert (result.iterations, result.converged) == pinned.steps
         trace = result.objective_trace
-        assert len(trace) == iterations + 1
+        assert len(trace) == pinned.steps[0] + 1
         assert all(b >= a for a, b in zip(trace, trace[1:]))
-
-    def _records_of(self, rows):
-        return make_records((p, t, s == "1") for p, t, s in (r.split(",") for r in rows.split()))
 
     def test_each_point_is_evaluated_once(self, monkeypatch):
         points = []
@@ -408,9 +380,10 @@ class TestFit:
         assert result.converged and result.iterations > 2
         assert len(points) == len(set(points)) == result.iterations + 2
         points.clear()
+        records = read_outcome_csv(io.StringIO(SOLVER_PATHS["step_halved"].text))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            result = fit_rasch(self._records_of(self.SOLVER_PATHS["step_halved"][0]), ridge=0.0, slope=3.0)
+            result = fit_rasch(records, ridge=0.0, slope=3.0)
         # Each halving adds one candidate, evaluated once.
         assert len(points) == len(set(points)) > result.iterations + 2
 
@@ -785,10 +758,7 @@ class TestConnected:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert fit_rasch(records).connected is expected
-        warned = [] if expected else [
-            "person/task graph is disconnected; logits are only comparable within a component"
-        ]
-        assert [str(w.message) for w in caught] == warned
+        assert [str(w.message) for w in caught] == ([] if expected else [DISCONNECTED])
 
 
 class TestEstimatorApi:

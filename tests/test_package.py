@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from fit_logs import TWELVE_BY_SIX
 import skillcheck
 
 # The public names as they stood when the table replaced the eager imports.
@@ -79,6 +80,15 @@ def _run(script, *args):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_the_fit_log_table_imports_neither_skillcheck_nor_numpy():
+    # tests/same_bytes.py loads it before it imports the source tree it is given.
+    tests = Path(__file__).resolve().parent
+    _run(
+        f"sys.path.insert(0, {str(tests)!r}); import fit_logs\n"
+        "loaded = {'skillcheck', 'numpy'} & set(sys.modules)\nassert not loaded, loaded"
+    )
+
+
 def test_submodules_resolve_as_attributes():
     _run("import skillcheck; assert skillcheck.estimate is sys.modules['skillcheck.estimate']")
 
@@ -120,6 +130,5 @@ assert '"converged": true' in out.getvalue(), out.getvalue()
 
 def test_numpy_loads_only_for_fit(tmp_path):
     log = tmp_path / "log.csv"
-    rows = [f"p{p},t{t},{int((p + t) % 3 != 0)}" for p in range(4) for t in range(3)]
-    log.write_text("person,task,success\n" + "\n".join(rows) + "\n")
+    log.write_text(TWELVE_BY_SIX)
     _run(_NO_NUMPY, str(log))
