@@ -15,7 +15,8 @@ import math
 import sys
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterable, NamedTuple
+from operator import sub
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import _EXPORTS
 from .dice import DiscreteDist, SumRollOver, outcome_distribution
@@ -92,14 +93,11 @@ def match_normal_to_logistic(lp: LogisticParams) -> tuple[float, float]:
     return lp.mean, math.sqrt(lp.variance)
 
 
-def _largest_gap(
-    grid: tuple[float, ...], va: Iterable[float], vb: Iterable[float]
-) -> tuple[float, float]:
-    """The largest |a - b| over ``grid`` and the first point that has it."""
+def _largest_gap(points: Sequence[float], gaps: Iterable[float]) -> tuple[float, float]:
+    """The largest of ``gaps`` and the first of ``points`` that has it."""
     sup = 0.0
-    argmax = grid[0]
-    for x, a, b in zip(grid, va, vb):
-        gap = abs(a - b)
+    argmax = points[0]
+    for x, gap in zip(points, gaps):
         if gap > sup:
             sup = gap
             argmax = x
@@ -109,7 +107,7 @@ def _largest_gap(
 def _report(grid: tuple[float, ...], va: Iterable[float], vb: Iterable[float]) -> ComparisonReport:
     """Two CDFs' values over ``grid``; the first largest gap wins."""
     va, vb = tuple(va), tuple(vb)
-    sup, argmax = _largest_gap(grid, va, vb)
+    sup, argmax = _largest_gap(grid, map(abs, map(sub, va, vb)))
     return ComparisonReport(grid=grid, cdf_a=va, cdf_b=vb, sup_distance=sup, argmax_point=argmax)
 
 
@@ -240,13 +238,12 @@ def _curve_summary(lp: LogisticParams, curve: _Curve) -> tuple[float, float]:
     lo, hi, step = _default_grid(lp)
     count = _grid_count(lo, hi, step)
     fa, fb = curve.cdf, lp.cdf
-    read: dict[int, tuple[float, float, float, float]] = {}  # index to (x, cdf, logistic, gap)
+    read: dict[int, float] = {}  # grid index to |cdf - logistic| there
 
     def gap(i: int) -> float:
         x = lo + i * step
-        a, b = fa(x), fb(x)
-        read[i] = x, a, b, abs(a - b)
-        return read[i][3]
+        read[i] = abs(fa(x) - fb(x))
+        return read[i]
 
     ends = [*range(0, count - 1, _STRIDE), count - 1]
     floor = max(map(gap, ends))
@@ -255,16 +252,16 @@ def _curve_summary(lp: LogisticParams, curve: _Curve) -> tuple[float, float]:
         a, b = stretches.pop()
         if b - a < 2:
             continue  # no grid point inside
-        xa, xb = read[a][0], read[b][0]
+        xa, xb = lo + a * step, lo + b * step
         h = (xb - xa) / lp.scale
-        bound = max(read[a][3], read[b][3]) + curve.bend * h * h / 8.0 + _SLACK
+        bound = max(read[a], read[b]) + curve.bend * h * h / 8.0 + _SLACK
         if bound < floor and not any(xa <= k <= xb for k in curve.kinks):
             continue
         m = (a + b) // 2
         floor = max(floor, gap(m))
         stretches += [(a, m), (m, b)]
-    grid, va, vb, _ = zip(*(read[i] for i in sorted(read)))
-    return _largest_gap(grid, va, vb)  # the same first largest gap wins
+    order = sorted(read)  # the same first largest gap wins
+    return _largest_gap([lo + i * step for i in order], [read[i] for i in order])
 
 
 FIGURE_IDS = ("fig2", "fig3", "fig4", "fig5")

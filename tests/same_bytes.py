@@ -12,8 +12,10 @@ warm-ups included. To reach code the workloads never run, it adds each curve
 batch ``fit`` again at the CLI defaults (``--tol 1e-8``), and the fixed ``EDGES``:
 domain edges, warnings, fits whose line search compares objectives a few ulps
 apart (a log that once stalled) or takes a rare path, logs on either side of the
-plain-log fast path of ``estimate._read_log``, and the top-level and
-every subcommand's ``--help`` (wrapped at ``COLUMNS=80``, whatever the terminal).
+plain-log fast path of ``estimate._read_log`` (one with a byte-order mark, which it
+reads; CRLF, quoted, padded, no final newline, a 9-byte id, an invalid UTF-8 byte
+past 8 KiB and a field past the csv field limit, which it leaves), and the top-level
+and every subcommand's ``--help`` (wrapped at ``COLUMNS=80``, whatever the terminal).
 It runs each distinct one once through ``skillcheck.cli.main`` in this process and writes
 ``{command line: sha256 of exit code, stdout and stderr}`` as JSON. ``--src``
 names the source tree to import ``skillcheck`` from (this checkout's ``src`` by
@@ -75,11 +77,13 @@ FLAGS = {
 # Every subcommand, each of whose ``--help`` is in EDGES.
 SUBCOMMANDS = ("dist", "check", "opposed", "grade", "evidence", "compare", "figure", "fit", "simulate")
 
-# Renderings of the 12x6 log that the plain-log fast path must leave to the csv reader, with
-# the same bytes out: CRLF, a quoted id, space-padded fields, no final newline, a 9-byte id, an
-# invalid UTF-8 byte past the reader's first 8 KiB chunk (its error names a position in the
-# chunk), and a field longer than csv.field_size_limit().
+# Renderings of the 12x6 log around the plain-log fast path, with the same bytes out: one with
+# a UTF-8 byte-order mark, which the fast path reads, and those it must leave to the csv reader:
+# CRLF, a quoted id, space-padded fields, no final newline, a 9-byte id, an invalid UTF-8 byte
+# past the reader's first 8 KiB chunk (its error names a position in the chunk), and a field
+# longer than csv.field_size_limit().
 BOUNDARY = {
+    "bom.csv": "\ufeff" + TWELVE_BY_SIX,
     "crlf.csv": TWELVE_BY_SIX.replace("\n", "\r\n"),
     "quoted.csv": TWELVE_BY_SIX.replace("p0,", '"p0",', 1),
     "padded.csv": TWELVE_BY_SIX.replace("person,", "person , ").replace(",t3,", ", t3 , "),

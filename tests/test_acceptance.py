@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
+Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines. A test fails
+exactly when its line reads FAIL: each bound is stated once, in the flag it prints.
 
 The curve-fit criteria (1, 4 and 10) test each CDF-gap bound on the curve
 pair it belongs to:
@@ -14,20 +15,20 @@ pair it belongs to:
 * the 3d6 step CDF against its moment-matched logistic at half-integer
   points is checked against an enumeration of all 216 rolls (about 0.0324).
 
-The oracles below share no code with ``skillcheck``.
+The oracles below share no code with ``skillcheck``, and neither do the rules of the
+die-family oracle that c03 shares with ``tests/test_dice.py``, ``tests/dice_oracle.py``.
 """
 
 import json
 import math
 import time
-from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import product
 
 import numpy as np
-import pytest
 
+from dice_oracle import ORACLE, enumerate_mechanic
 from skillcheck import cli
 from skillcheck.compare import (
     LogisticParams,
@@ -64,6 +65,7 @@ from skillcheck.resolve import (
 
 def report(num, name, ok, detail):
     print(f"ACCEPTANCE {num:>2} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
+    assert ok, detail
 
 
 def _variance_matched_gap(x):
@@ -118,15 +120,8 @@ def test_c01_normal_vs_logistic_fidelity():
     ok = scaled_ok and matched_ok and elapsed < 1.0
     report(1, "normal-vs-logistic fidelity", ok,
            f"1.702-scaled sup={scaled:.6f} in (0.005, 0.01): {scaled_ok}, "
-           f"variance-matched sup={sup:.7f} vs oracle {oracle:.7f} "
+           f"variance-matched sup={sup!r} vs oracle {oracle!r} "
            f"(<= oracle, within 1e-4): {matched_ok}, {elapsed:.3f}s < 1s")
-    assert elapsed < 1.0
-    assert 0.005 < scaled < 0.01, (
-        f"1.702-scaled normal-vs-logistic sup distance is {scaled:.6f}, "
-        "outside the required (0.005, 0.01) window"
-    )
-    assert sup <= oracle + 1e-12, f"grid sup {sup!r} exceeds true supremum {oracle!r}"
-    assert oracle - sup < 1e-4, f"grid sup {sup!r} is not within 1e-4 of {oracle!r}"
 
 
 def test_c02_uniform_is_much_worse():
@@ -137,23 +132,7 @@ def test_c02_uniform_is_much_worse():
     ok = ratio >= 3.0
     report(2, "uniform-vs-logistic contrast", ok,
            f"uniform={uniform_sup:.6f}, normal={normal_sup:.6f}, ratio={ratio:.2f} >= 3")
-    assert ratio >= 3.0
 
-
-# Independent restatement of every family for the enumeration oracle.
-_RULES = {
-    UniformRollUnder: lambda m: (1, lambda f: f[0], lambda o: o <= m.target),
-    UniformRollOver: lambda m: (1, lambda f: f[0], lambda o: o + m.modifier >= m.difficulty),
-    SumRollOver: lambda m: (m.dice, sum, lambda o: o + m.modifier >= m.difficulty),
-    BinomialPool: lambda m: (
-        m.dice,
-        lambda f: sum(1 for x in f if x >= m.threshold),
-        lambda o: o >= m.required,
-    ),
-    GeneralPool: lambda m: (m.dice, sum, lambda o: o >= m.difficulty),
-    StepDie: lambda m: (1, lambda f: f[0], lambda o: o >= m.difficulty),
-    MaxPool: lambda m: (m.dice, max, lambda o: o >= m.difficulty),
-}
 
 ROSTER = [
     UniformRollUnder(4, 2), UniformRollUnder(6, 0), UniformRollUnder(6, 7),
@@ -175,26 +154,17 @@ ROSTER = [
 def test_c03_dice_exactness():
     start = time.perf_counter()
     assert len(ROSTER) >= 30
-    assert {type(m) for m in ROSTER} == set(_RULES)
+    assert {type(m) for m in ROSTER} == set(ORACLE)
     for mech in ROSTER:
-        count, reduce_fn, rule = _RULES[type(mech)](mech)
+        count = ORACLE[type(mech)](mech)[0]
         assert count <= 6 and mech.sides <= 10
-        tally = Counter()
-        wins = 0
-        for faces in product(range(1, mech.sides + 1), repeat=count):
-            o = reduce_fn(faces)
-            tally[o] += 1
-            if rule(o):
-                wins += 1
-        total = mech.sides**count
-        expected_pmf = {k: Fraction(v, total) for k, v in tally.items()}
+        expected_pmf, expected_p = enumerate_mechanic(mech)
         assert dict(outcome_distribution(mech).items()) == expected_pmf, mech
-        assert success_probability(mech) == Fraction(wins, total), mech
+        assert success_probability(mech) == expected_p, mech
     elapsed = time.perf_counter() - start
     ok = elapsed < 10.0
     report(3, "dice exactness", ok,
            f"{len(ROSTER)} parameterizations across 7 families, exact, {elapsed:.2f}s < 10s")
-    assert elapsed < 10.0
 
 
 def _three_d6_sup_oracle():
@@ -234,13 +204,6 @@ def test_c04_3d6_fit():
     report(4, "3d6 fit", ok,
            f"mu_exact={mu_ok}, s_ok={s_ok}, sup={sup!r} vs enumeration {oracle!r} "
            f"(within 1e-12: {sup_ok}), monotone n=1..5: {mono_ok}")
-    assert mu_ok
-    assert s_ok
-    assert mono_ok
-    assert sup_ok, (
-        f"3d6 sup distance at half-integer points is {sup!r}, enumeration "
-        f"gives {oracle!r}"
-    )
 
 
 def test_c05_model_algebra():
@@ -274,9 +237,6 @@ def test_c05_model_algebra():
     report(5, "model algebra", ok,
            f"max 1PL dev={worst_1pl:.2e}, max 4PL dev={worst_4pl:.2e}, "
            f"max ratio/logit dev={worst_eq:.2e}, r=0 flat exact")
-    assert worst_1pl < 1e-12
-    assert worst_4pl < 1e-12
-    assert worst_eq < 1e-12
 
 
 def _expected_grade(factor):
@@ -326,10 +286,6 @@ def test_c06_evidence_algebra():
     report(6, "evidence algebra", ok,
            f"batch-vs-seq dev={worst_batch:.2e}, cancel dev={worst_cancel:.2e}, "
            f"pipeline dev={worst_pipe:.2e}, grades on 10^4 grid + boundaries: {grades_ok}")
-    assert worst_batch < 1e-12
-    assert worst_cancel < 1e-12
-    assert worst_pipe < 1e-12
-    assert grades_ok
 
 
 SAMPLING_PAIRS = [
@@ -364,9 +320,8 @@ def test_c07_sampling_agreement():
     elapsed = time.perf_counter() - start
     ok = all_ok and elapsed < 5.0
     report(7, "sampling agreement", ok,
-           f"10 pairs x 100k draws, max |dev|={max(details):.2f} sigma <= 3, {elapsed:.2f}s < 5s")
-    assert all_ok, f"deviations in sigma units: {[f'{d:.2f}' for d in details]}"
-    assert elapsed < 5.0
+           f"10 pairs x 100k draws, max |dev|={max(details):.2f} sigma <= 3 "
+           f"(each: {', '.join(f'{d:.2f}' for d in details)}), {elapsed:.2f}s < 5s")
 
 
 def test_c08_estimation_recovery():
@@ -420,11 +375,6 @@ def test_c08_estimation_recovery():
     report(8, "estimation recovery", ok,
            f"converged={result.converged}, pearson={pearson:.4f} > 0.9, "
            f"rmse={rmse:.4f} < 0.4, grad rel err={max_rel:.2e} < 1e-6, {elapsed:.1f}s < 30s")
-    assert result.converged
-    assert pearson > 0.9
-    assert rmse < 0.4
-    assert max_rel < 1e-6
-    assert elapsed < 30.0
 
 
 def test_c09_elo():
@@ -453,9 +403,6 @@ def test_c09_elo():
     report(9, "Elo updates", ok,
            f"equal-win +16/-16 exact: {exact_changes}, 400-gap=10/11 within 1e-12: "
            f"{gap_ok}, sum conserved exactly over 10^4 updates: {conserved}")
-    assert exact_changes
-    assert gap_ok
-    assert conserved
 
 
 def _csv_from_cli(capsys, which):
@@ -502,18 +449,8 @@ def test_c10_cli_end_to_end(capsys):
 
     ok = identical and c1_ok and c2_ok and mu_ok and s_ok and sup_ok
     report(10, "CLI end-to-end", ok,
-           f"byte-identical={identical}, fig4 max={fig4_max:.7f} vs oracle "
-           f"{fig4_oracle:.7f} (<= oracle, within 1e-4): {c1_ok}, "
+           f"byte-identical={identical}, fig4 max={fig4_max!r} vs oracle "
+           f"{fig4_oracle!r} (<= oracle, within 1e-4): {c1_ok}, "
            f"fig3/fig4 ratio={fig3_max / fig4_max:.2f} >= 3: {c2_ok}, fig5 mu/s ok: "
            f"{mu_ok and s_ok}, fig5 max={fig5_max!r} vs enumeration {fig5_oracle!r} "
            f"(within 1e-11): {sup_ok}")
-    assert identical
-    assert c2_ok
-    assert mu_ok and s_ok
-    assert fig4_max <= fig4_oracle + 1e-11, (
-        f"fig4 CSV max |diff| {fig4_max!r} exceeds true supremum {fig4_oracle!r}"
-    )
-    assert fig4_oracle - fig4_max < 1e-4, (
-        f"fig4 CSV max |diff| {fig4_max!r} is not within 1e-4 of {fig4_oracle!r}"
-    )
-    assert sup_ok, f"fig5 CSV max |diff| {fig5_max!r}, enumeration gives {fig5_oracle!r}"

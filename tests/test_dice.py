@@ -1,14 +1,13 @@
 """Exactness checks for the die mechanics.
 
 The oracle is brute force: enumerate every ordered roll, reduce it with a
-rule written out independently here, and tally exact rational masses. The
-library must match it fraction for fraction.
+rule written out independently in ``tests/dice_oracle.py``, and tally exact
+rational masses. The library must match it fraction for fraction.
 """
 
 import dataclasses
 import re
 import sys
-from collections import Counter
 from datetime import timedelta
 from fractions import Fraction
 from functools import reduce
@@ -19,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dice_oracle import ORACLE, enumerate_mechanic
 from skillcheck.dice import (
     BinomialPool,
     DiscreteDist,
@@ -37,38 +37,6 @@ from skillcheck.dice import (
     success_probability,
 )
 from skillcheck.dice import _sum_at_most, _sum_distribution
-
-# Independent restatement of each family: (dice count, reduce, success rule).
-ORACLE = {
-    UniformRollUnder: lambda m: (1, lambda f: f[0], lambda o: o <= m.target),
-    UniformRollOver: lambda m: (1, lambda f: f[0], lambda o: o + m.modifier >= m.difficulty),
-    SumRollOver: lambda m: (m.dice, sum, lambda o: o + m.modifier >= m.difficulty),
-    BinomialPool: lambda m: (
-        m.dice,
-        lambda f: sum(1 for x in f if x >= m.threshold),
-        lambda o: o >= m.required,
-    ),
-    GeneralPool: lambda m: (m.dice, sum, lambda o: o >= m.difficulty),
-    StepDie: lambda m: (1, lambda f: f[0], lambda o: o >= m.difficulty),
-    MaxPool: lambda m: (m.dice, max, lambda o: o >= m.difficulty),
-}
-
-
-def enumerate_mechanic(m):
-    """Exact pmf and success probability by listing every ordered roll."""
-    count, reduce_fn, rule = ORACLE[type(m)](m)
-    sides = m.sides
-    tally = Counter()
-    wins = 0
-    for faces in product(range(1, sides + 1), repeat=count):
-        o = reduce_fn(faces)
-        tally[o] += 1
-        if rule(o):
-            wins += 1
-    total = sides**count
-    pmf = {k: Fraction(v, total) for k, v in tally.items()}
-    return pmf, Fraction(wins, total)
-
 
 SMALL_ROSTER = [
     UniformRollUnder(sides=6, target=4),
@@ -89,6 +57,10 @@ SMALL_ROSTER = [
     MaxPool(dice=3, sides=6, difficulty=5),
     MaxPool(dice=2, sides=10, difficulty=8),
 ]
+
+
+def test_the_oracle_restates_every_family():
+    assert set(ORACLE) == set(Mechanic.__subclasses__())
 
 
 @pytest.mark.parametrize("mech", SMALL_ROSTER, ids=repr)
