@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import re
 import sys
 from typing import Optional, Sequence
@@ -187,27 +188,62 @@ def _cmd_fit(args, parser) -> None:
 
 
 def _cmd_simulate(args, parser) -> None:
+    if args.mc_error and not args.aggregate:
+        parser.error("--mc-error needs --aggregate")
     target = _build_target(args, parser)
     rng = resolve.SplitMix64(args.seed)
     if args.n < 0:
         raise ValueError(f"trial count must be nonnegative, got {args.n}")
     if args.aggregate:
+        if args.mc_error and args.n == 0:
+            raise ValueError("--mc-error needs at least one trial, got --n 0")
         if isinstance(target, logistic.FourPL):
             exact = target.probability()
         else:
             exact = float(dice.success_probability(target))
         successes = resolve.simulate_count(target, args.n, rng)
         rate = successes / args.n if args.n else 0.0
-        print("n,successes,rate,exact_probability")
-        print(f"{args.n},{successes},{_fmt(rate)},{_fmt(exact)}")
+        header = "n,successes,rate,exact_probability"
+        row = f"{args.n},{successes},{_fmt(rate)},{_fmt(exact)}"
+        if args.mc_error:
+            # sqrt(p(1 - p)/n), each root taken apart so that p(1 - p)/n cannot underflow to 0.
+            # It is 0 only at p = 0 or 1, where every trial has the certain outcome: z is 0 there.
+            std_error = math.sqrt(exact * (1 - exact)) / math.sqrt(args.n)
+            z = (rate - exact) / std_error if std_error else 0.0
+            header, row = f"{header},std_error,z", f"{row},{_fmt(std_error)},{_fmt(z)}"
+        print(header)
+        print(row)
         return
     blocks = resolve._successes(target, args.n, rng)  # raises before the header is written
     sys.stdout.write("trial,success\n")
     i = 1
     for flags in blocks:
-        trials = range(i, i + len(flags))
-        sys.stdout.write("".join([f"{t},{s}\n" for t, s in zip(trials, flags.view("u1").tolist())]))
-        i = trials.stop
+        sys.stdout.write(_trial_rows(i, flags))
+        i += len(flags)
+
+
+def _trial_rows(start: int, flags) -> str:
+    """The rows ``f"{t},{flag}\\n"`` of trials ``start, start + 1, ...``, one per bool flag.
+
+    Each run of trials of one decimal width ``w`` is a ``(rows, w + 3)`` byte array of
+    digit and flag values plus the row ``0...0,0\\n``, so no Python object is made per row.
+    """
+    import numpy as np
+
+    stop = start + len(flags)
+    text = []
+    for w in range(len(str(start)), len(str(stop - 1)) + 1):
+        lo, hi = max(start, 10 ** (w - 1)), min(stop, 10**w)
+        rows = np.zeros((hi - lo, w + 3), np.uint8)
+        # Only uint64 arrays and Python ints: numpy 1.x promotes uint64 with int64 to float64.
+        t = np.arange(hi - lo, dtype=np.uint64) + lo
+        for col in range(w - 1, -1, -1):
+            rows[:, col] = t % 10
+            t //= 10
+        rows[:, w + 1] = flags[lo - start : hi - start]
+        rows += np.frombuffer(b"0" * w + b",0\n", np.uint8)
+        text.append(rows.tobytes().decode("ascii"))
+    return "".join(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,6 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="number of trials")
     p.add_argument("--seed", type=int, required=True, help="generator seed")
     p.add_argument("--aggregate", action="store_true", help="print one summary row")
+    p.add_argument("--mc-error", action="store_true",
+                   help="with --aggregate, add the Monte Carlo std_error and z of the rate")
     p.set_defaults(func=_cmd_simulate)
 
     # -1e-5, -inf and -nan are values too; argparse's own (private) matcher takes -1 and -.5.

@@ -10,15 +10,17 @@ sweep every benchmark fit log at four flag sets, and compare sweeps.
 warm-ups included. To reach code the workloads never run, it adds each curve
 ``--summary`` command line again without ``--summary`` (the full report), each
 batch ``fit`` again at the CLI defaults (``--tol 1e-8``), and the fixed ``EDGES``:
-domain edges, warnings, fits whose line search compares objectives a few ulps
-apart (a log that once stalled) or takes a rare path, logs on either side of the
-plain-log fast path of ``estimate._read_log`` (one with a byte-order mark, which it
-reads; CRLF, quoted, padded, no final newline, a 9-byte id, an invalid UTF-8 byte
-past 8 KiB and a field past the csv field limit, which it leaves), and the top-level
-and every subcommand's ``--help`` (wrapped at ``COLUMNS=80``, whatever the terminal).
-It runs each distinct one once through ``skillcheck.cli.main`` in this process and writes
-``{command line: sha256 of exit code, stdout and stderr}`` as JSON. ``--src``
-names the source tree to import ``skillcheck`` from (this checkout's ``src`` by
+domain edges, per-trial ``simulate`` rows past trials 10,000 and 100,000 (where the
+trial number gains a digit inside a block of draws), warnings, fits whose line
+search compares objectives a few ulps apart (a log that once stalled) or takes a
+rare path, logs on either side of the plain-log fast path of ``estimate._read_log``
+(one with a byte-order mark, which it reads; CRLF, quoted, padded, no final newline,
+a 9-byte id, an invalid UTF-8 byte past 8 KiB and a field past the csv field limit,
+which it leaves), and the top-level and every subcommand's ``--help`` (wrapped at
+``COLUMNS=80``, whatever the terminal).
+It runs each distinct one (1,286 in all) once through ``skillcheck.cli.main`` in this
+process and writes ``{command line: sha256 of exit code, stdout and stderr}`` as JSON.
+``--src`` names the source tree to import ``skillcheck`` from (this checkout's ``src`` by
 default), so that one checkout's command lines can be run against another's code,
 one process each. The fit logs are written to a temporary directory and named
 relative to it, so two runs give the same command lines. The edges' fit logs are the
@@ -109,6 +111,12 @@ EDGES = [
     ["compare", "--pair", "uniform", "--mean", "1e15", "--scale", "1"],
     ["compare", "--pair", "uniform", "--mean", "1e15", "--scale", "1", "--summary"],
     ["compare", "--pair", "normal", "--mean", "1e308", "--scale", "1e307", "--summary"],
+    # Per-trial rows across the 4-to-5 and 5-to-6 digit changes, inside blocks of draws.
+    *(["simulate", *target, "--n", n, "--seed", "-9"]
+      for target in (["--model", '{"ability": 0.4, "difficulty": 0.1}'],
+                     ["--mechanic", "binomial", "--dice", "5", "--sides", "10", "--threshold", "6",
+                      "--required", "3"])
+      for n in ("10001", "100001")),
     *(["fit", "--input", f"{name}.csv", *log.flags] for name, log in PINNED.items()),
     ["fit", "--input", "stall_seed12_session68.csv"],
     *(["fit", "--input", log] for log in BOUNDARY),

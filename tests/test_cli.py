@@ -4,11 +4,15 @@ import csv
 import hashlib
 import io
 import json
+import math
 import shlex
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fit_logs import FIT_GOLDEN, FIVE_RECORDS, SOLVER_PATHS, TWELVE_BY_SIX, WARNED
 from skillcheck import cli
@@ -16,13 +20,22 @@ from skillcheck.compare import LogisticParams, figure_data, normal_vs_logistic, 
 from skillcheck.dice import BinomialPool, MaxPool, SumRollOver, success_probability
 from skillcheck.estimate import fit_rasch, read_outcome_csv
 from skillcheck.logistic import FourPL
-from skillcheck.resolve import SplitMix64, resolve_mechanic, resolve_model, simulate_count
+from skillcheck.resolve import _BLOCK, SplitMix64, resolve_mechanic, resolve_model, simulate_count
 
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_same_text(text, expected):
+    """``text == expected``, naming the first line that differs: pytest's own diff of two
+    long texts that differ from the start runs for minutes."""
+    if text != expected:
+        lines, want = text.splitlines(keepends=True), expected.splitlines(keepends=True)
+        i = next((i for i, (a, b) in enumerate(zip(lines, want)) if a != b), min(len(lines), len(want)))
+        pytest.fail(f"line {i + 1}: {lines[i:i + 1]} != {want[i:i + 1]}, of {len(lines)} and {len(want)} lines")
 
 
 class TestDist:
@@ -570,22 +583,26 @@ class TestSimulate:
         successes = int(agg.strip().split("\n")[1].split(",")[1])
         assert sum(row.endswith(",1") for row in rows) == successes
 
+    MODEL = (("--model", '{"ability": 0.4, "difficulty": 0.1, "upper": 0.9}'),
+             FourPL(0.4, 0.1, upper=0.9), resolve_model)
+
     @pytest.mark.parametrize(
-        "flags,target,resolve",
+        "flags,target,resolve,n",
         [
-            (("--model", '{"ability": 0.4, "difficulty": 0.1, "upper": 0.9}'),
-             FourPL(0.4, 0.1, upper=0.9), resolve_model),
+            (*MODEL, 8300),  # past one block of draws
             (("--mechanic", "binomial", "--dice", "5", "--sides", "10", "--threshold", "6",
-              "--required", "3"), BinomialPool(5, 10, 6, 3), resolve_mechanic),
+              "--required", "3"), BinomialPool(5, 10, 6, 3), resolve_mechanic, 8300),
+            # Trial 10,000 (4 to 5 digits) is inside block 2, and 100,000 inside block 13.
+            (*MODEL, 100_001),
         ],
-        ids=["model", "mechanic"],
+        ids=["model", "mechanic", "model-past-two-width-changes"],
     )
-    def test_trial_rows_are_the_scalar_checks(self, capsys, flags, target, resolve):
-        n = 8300  # past one block of draws
+    def test_trial_rows_are_the_scalar_checks(self, capsys, flags, target, resolve, n):
         code, out, err = run_cli(capsys, "simulate", *flags, "--n", str(n), "--seed", "-9")
         rng = SplitMix64(-9)
         rows = "".join(f"{i},{int(resolve(target, rng).success)}\n" for i in range(1, n + 1))
-        assert (code, out, err) == (0, "trial,success\n" + rows, "")
+        assert (code, err) == (0, "")
+        assert_same_text(out, "trial,success\n" + rows)
 
     @pytest.mark.parametrize(
         "target",
@@ -615,6 +632,111 @@ class TestSimulate:
         )
         assert (code, out) == (1, "")
         assert err == "error: trial count must be nonnegative, got -5\n"
+
+
+def f_string_rows(start, flags):
+    """The rows as ``simulate`` once wrote them, one f-string per trial."""
+    return "".join(f"{t},{s}\n" for t, s in zip(range(start, start + len(flags)), flags.view("u1").tolist()))
+
+
+@st.composite
+def trial_blocks(draw):
+    """A first trial number and a block of up to ``_BLOCK`` flags: all 0, all 1 or mixed."""
+    start = draw(st.one_of(
+        st.integers(1, 19).flatmap(lambda k: st.integers(max(1, 10**k - _BLOCK - 2), 10**k + 2)),
+        st.builds(lambda j, d: _BLOCK * j + 1 + d, st.integers(0, 2**40), st.integers(0, 2)),
+        st.integers(1, 2**63),
+    ))
+    n = draw(st.one_of(st.sampled_from([0, 1, _BLOCK]), st.integers(0, _BLOCK)))
+    kind = draw(st.sampled_from(["zeros", "ones", "mixed"]))
+    if kind == "mixed":
+        flags = np.random.default_rng(draw(st.integers(0, 2**32))).random(n) < 0.5
+    else:
+        flags = np.full(n, kind == "ones")
+    return start, flags
+
+
+class TestTrialRows:
+    @settings(max_examples=300)
+    @given(trial_blocks())
+    # Blocks across 1 -> 2, 5 -> 6 and 19 -> 20 digits, and the top start drawn.
+    @example((9, np.arange(_BLOCK) % 3 == 0))
+    @example((99_999, np.arange(_BLOCK) % 3 == 0))
+    @example((10**19 - 1, np.arange(_BLOCK) % 3 == 0))
+    @example((2**63, np.arange(_BLOCK) % 3 == 0))
+    def test_equal_the_f_string_rows(self, block):
+        start, flags = block
+        assert_same_text(cli._trial_rows(start, flags), f_string_rows(start, flags))
+
+
+class TestMonteCarloError:
+    SUM = ("--mechanic", "sum", "--dice", "3", "--sides", "6", "--difficulty", "11")
+    TARGETS = {
+        "sum": SUM,
+        "binomial": ("--mechanic", "binomial", "--dice", "5", "--sides", "10", "--threshold", "6",
+                     "--required", "3"),
+        "max": ("--mechanic", "max", "--dice", "3", "--sides", "10", "--difficulty", "8"),
+    }
+
+    def aggregate(self, capsys, *argv):
+        code, out, err = run_cli(capsys, "simulate", *argv, "--aggregate", "--mc-error")
+        assert (code, err) == (0, ""), err
+        header, row, end = out.split("\n")
+        assert (header, end) == ("n,successes,rate,exact_probability,std_error,z", "")
+        return row.split(",")
+
+    @pytest.mark.parametrize("n", [1, 7, 2000])
+    def test_formula(self, capsys, n):
+        argv = (*self.SUM, "--n", str(n), "--seed", "17")
+        successes, rate, p, std_error, z = self.aggregate(capsys, *argv)[1:]
+        expected = math.sqrt(0.5 * 0.5 / n)
+        assert float(std_error) == pytest.approx(expected, rel=1e-11)
+        assert float(z) == pytest.approx((int(successes) / n - 0.5) / expected, rel=1e-11, abs=1e-12)
+
+    def test_default_stdout_is_unchanged(self, capsys):
+        argv = ("simulate", *self.SUM, "--n", "2000", "--seed", "17", "--aggregate")
+        _, default, _ = run_cli(capsys, *argv)
+        assert default == "n,successes,rate,exact_probability\n2000,1010,0.505,0.5\n"  # as released
+        _, with_error, _ = run_cli(capsys, *argv, "--mc-error")
+        assert [line.rsplit(",", 2)[0] for line in with_error.splitlines()] == default.splitlines()
+
+    @pytest.mark.parametrize(
+        "target,p",
+        [
+            (("--model", '{"ability": 0, "difficulty": 0, "upper": 0}'), "0"),
+            (("--model", '{"ability": 0, "difficulty": 0, "lower": 1}'), "1"),
+            (("--model", '{"ability": -1e308, "difficulty": 1e308}'), "0"),
+            (("--mechanic", "step", "--sides", "6", "--difficulty", "7"), "0"),
+            (("--mechanic", "step", "--sides", "6", "--difficulty", "1"), "1"),
+        ],
+        ids=["model-0", "model-1", "model-gap-overflows", "mechanic-0", "mechanic-1"],
+    )
+    def test_a_certain_outcome_has_no_error(self, capsys, target, p):
+        row = self.aggregate(capsys, *target, "--n", "25", "--seed", "3")
+        assert row == ["25", "0" if p == "0" else "25", p, p, "0", "0"]
+
+    def test_a_subnormal_probability_keeps_a_finite_error(self, capsys):
+        model = '{"ability": 0, "difficulty": 0, "upper": 1e-320}'
+        row = self.aggregate(capsys, "--model", model, "--n", "10000", "--seed", "3")[2:]
+        assert all(math.isfinite(float(cell)) for cell in row)
+        assert float(row[2]) > 0  # p(1 - p)/n would underflow to 0
+
+    def test_zero_trials_is_a_one_line_error(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", *self.SUM, "--n", "0", "--seed", "1",
+                                 "--aggregate", "--mc-error")
+        assert (code, out, err) == (1, "", "error: --mc-error needs at least one trial, got --n 0\n")
+
+    def test_needs_aggregate(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", *self.SUM, "--n", "3", "--seed", "1", "--mc-error")
+        assert (code, out) == (2, "")
+        assert err.endswith("error: --mc-error needs --aggregate\n")
+
+    @pytest.mark.parametrize("name", TARGETS)
+    def test_z_covers_about_95_percent(self, capsys, name):
+        runs = [self.aggregate(capsys, *self.TARGETS[name], "--n", "1000", "--seed", str(seed))
+                for seed in range(1, 201)]
+        share = sum(abs(float(row[-1])) < 1.96 for row in runs) / len(runs)
+        assert 0.90 <= share <= 0.99
 
 
 class TestDomainEdges:

@@ -114,8 +114,9 @@ def int_argvs(draw):
     argv = [command, "--mechanic", mechanic]
     for flag, v in values.items():
         argv += [f"{flag}={v}"] if draw(st.booleans()) else [flag, v]
-    switch = {"dist": "--success", "check": None, "simulate": "--aggregate"}[command]
-    return argv + [switch] if switch and draw(st.booleans()) else argv
+    switches = {"dist": [["--success"]], "check": [],
+                "simulate": [["--aggregate"], ["--aggregate", "--mc-error"]]}
+    return argv + draw(st.sampled_from([[], *switches[command]]))
 
 
 def run(argv):
