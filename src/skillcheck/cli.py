@@ -6,6 +6,9 @@ their numerator and denominator, so output stays both spreadsheet-friendly
 and exact. Sampling subcommands require an explicit --seed: identical
 arguments always produce identical bytes.
 
+A command line that starts with a command's exact name goes straight to that
+command's own parser; any other goes through the top-level parser.
+
 Exit codes: 0 success (a fit's cautions as ``warning:`` lines on stderr),
 1 domain error (message on stderr), 2 usage error.
 """
@@ -317,6 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     for p in sub.choices.values():
         p._negative_number_matcher = re.compile(r"-\.?\d|-(?i:inf|nan)")
         p.set_defaults(parser=p)
+    parser.set_defaults(commands=sub.choices)  # read by main, to skip the top-level pass
     return parser
 
 
@@ -327,9 +331,21 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command line (``sys.argv[1:]`` when ``argv`` is None); return its exit code.
+
+    A known command goes straight to its own parser, to which the top-level parser would
+    hand every argument after the name; the top-level parser reports what is left over.
+    """
     parser = _parser()
+    argv = sys.argv[1:] if argv is None else argv
+    commands = parser.get_default("commands")
     try:  # argparse turns a flag type's ValueError into a usage error (exit 2) itself
-        args = parser.parse_args(argv)
+        if argv and argv[0] in commands:
+            args, extras = commands[argv[0]].parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        else:
+            args = parser.parse_args(argv)
         args.func(args, args.parser)
     except SystemExit as exc:
         return int(exc.code or 0)

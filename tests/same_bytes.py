@@ -16,9 +16,11 @@ search compares objectives a few ulps apart (a log that once stalled) or takes a
 rare path, logs on either side of the plain-log fast path of ``estimate._read_log``
 (one with a byte-order mark, which it reads; CRLF, quoted, padded, no final newline,
 a 9-byte id, an invalid UTF-8 byte past 8 KiB and a field past the csv field limit,
-which it leaves), and the top-level and every subcommand's ``--help`` (wrapped at
-``COLUMNS=80``, whatever the terminal).
-It runs each distinct one (1,286 in all) once through ``skillcheck.cli.main`` in this
+which it leaves), the top-level and every subcommand's ``--help`` (wrapped at
+``COLUMNS=80``, whatever the terminal), and command lines on the edges of ``main``'s
+direct route to a command's own parser (leftovers, ``--``, an early ``-h``, an
+abbreviation, an unknown command).
+It runs each distinct one (1,292 in all) once through ``skillcheck.cli.main`` in this
 process and writes ``{command line: sha256 of exit code, stdout and stderr}`` as JSON.
 ``--src`` names the source tree to import ``skillcheck`` from (this checkout's ``src`` by
 default), so that one checkout's command lines can be run against another's code,
@@ -122,6 +124,14 @@ EDGES = [
     *(["fit", "--input", log] for log in BOUNDARY),
     ["--help"],
     *([command, "--help"] for command in SUBCOMMANDS),
+    # A known command goes straight to its own parser: leftovers, `--`, an early -h, an
+    # abbreviation and an `=` form there, and an unknown command, which does not.
+    ["grade", "--factor", "2", "--extra"],
+    ["grade", "--", "--factor", "2"],
+    ["grade", "-h", "--factor", "2"],
+    ["dist", "--mech", "sum", "--sides", "6", "--dice", "3"],
+    ["grade", "--factor=2", "x"],
+    ["frobnicate", "--factor", "2"],
 ]
 
 

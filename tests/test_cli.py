@@ -1,12 +1,15 @@
 """End-to-end subcommand behavior: output formats, determinism, exit codes."""
 
+import contextlib
 import csv
 import hashlib
 import io
 import json
 import math
+import re
 import shlex
 import sys
+from datetime import timedelta
 from fractions import Fraction
 
 import numpy as np
@@ -955,3 +958,162 @@ class TestParserReuse:
         assert cli._parser() is cli._parser()
         assert cli.build_parser() is not cli.build_parser()
         assert cli.build_parser() is not cli._parser()
+
+
+def _reference_main(argv):
+    """``cli.main`` with every command line through the top-level parser, as before the
+    direct route: the reference that the dispatch tests compare ``main`` with."""
+    try:
+        args = cli._parser().parse_args(argv)
+        args.func(args, args.parser)
+    except SystemExit as exc:
+        return int(exc.code or 0)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return 0
+
+
+def _outcome(route, argv):
+    """Exit code, stdout and stderr of ``route(argv)``, with an empty stdin, so that a drawn
+    ``fit --input -`` stops at reading the log."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("sys.stdin", io.StringIO(""))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = route(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+_MODEL = '{"ability": 1, "difficulty": 0}'
+_HUGE = str(2**63)
+# Command lines on the edges of the dispatch: the empty one, help, unknown, misspelt and
+# prefix command names, a global flag no command has, `--`, trailing and early -h,
+# abbreviations, `=` forms, extra positionals, unknown flags and missing values.
+DISPATCH_EDGES = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["frobnicate"],
+    ["chec", "--seed", "1"],
+    ["Check", "--seed", "1"],
+    ["--", "grade", "--factor", "2"],
+    ["--stats", "grade", "--factor", "2"],
+    ["grade"],
+    ["grade", "--factor", "2"],
+    ["grade", "--factor", "2", "--extra"],
+    ["grade", "--factor", "2", "x"],
+    ["grade", "--factor=2", "x"],
+    ["grade", "--", "--factor", "2"],
+    ["grade", "--factor", "2", "--"],
+    ["grade", "-h", "--factor", "2"],
+    ["grade", "--factor", "2", "-h"],
+    ["grade", "--fac", "2"],
+    ["grade", "--f=2"],
+    ["grade", "--factor", "-1e-5"],
+    ["grade", "--factor", "-inf"],
+    ["grade", "--factor", "nan"],
+    ["grade", "--factor", "x"],
+    ["grade", "--factor"],
+    ["grade", "--factor", "2", "--factor", "3"],
+    ["grade", "-x"],
+    ["grade", "--factor", "2", "-5"],
+    ["dist", "--mech", "sum", "--sides", "6", "--dice", "3"],
+    ["dist", "--m", "sum", "--sides", "6"],
+    ["dist", "--mechanic=sum", "--sides=6", "--dice=3", "--success", "extra"],
+    ["check", "--seed", "1", "--model", _MODEL],
+    ["check", "--model", "{}", "--seed", _HUGE],
+    ["check", "--mechanic", "sum", "--sides", "6", "--seed", "1", "--", "x"],
+    ["check", "-h"],
+    ["check", "--seed"],
+    ["opposed", "--rating-a", "1500", "--rating-b", "1400", "--score", "1", "--k=16"],
+    ["opposed", "--rating", "1500"],
+    ["evidence", "--factor", "2", "--factor", "3", "--prior=0.5"],
+    ["compare", "--pair", "normal", "--summary", "--mean", "-1e-5"],
+    ["figure", "fig3", "fig4"],
+    ["figure"],
+    ["figure", "--", "fig3"],
+    ["fit", "--input", "-", "--bogus"],
+    ["simulate", "--model", _MODEL, "--n", "3", "--seed", "1", "--aggregate", "--mc-error"],
+]
+
+_COMMANDS = cli.build_parser().get_default("commands")
+# Each command's long flags, read from its usage line.
+_FLAGS = {name: re.findall(r"--[a-z][a-z-]*", p.format_usage()) for name, p in _COMMANDS.items()}
+_ALL_FLAGS = sorted({flag for flags in _FLAGS.values() for flag in flags})
+_NAMES = [*_COMMANDS, "chec", "checkx", "Grade", "dis", "frobnicate", "--", "-h", "--stats"]
+# Values and stray positionals. --n takes only small ones, so that no drawn simulate runs long.
+_VALUES = ["0", "1", "6", "-2", "2.5", "-1e-5", "1E3", "-1e308", "inf", "-inf", "nan", "-nan",
+           str(-2**63 - 1), "sum", "binomial", "normal", "dice", "fig3", "-", "-x", "", _MODEL, "{}"]
+_SMALL = ["0", "1", "3", "-2", "2.5", "x"]
+# A command line each command runs, for draws to start from, so that many of them reach the command.
+_RUNS = {
+    "dist": ["--mechanic", "sum", "--dice", "3", "--sides", "6"],
+    "check": ["--model", _MODEL, "--seed", "1"],
+    "opposed": ["--rating-a", "1500", "--rating-b", "1400"],
+    "grade": ["--factor", "2"],
+    "evidence": ["--factor", "2"],
+    "compare": ["--pair", "normal", "--summary"],
+    "figure": ["fig2"],
+    "fit": ["--input", "-"],
+    "simulate": ["--mechanic", "sum", "--dice", "3", "--sides", "6", "--n", "3", "--seed", "1"],
+}
+
+
+@st.composite
+def _argvs(draw):
+    name = draw(st.sampled_from(_NAMES))
+    own = _FLAGS.get(name) or _ALL_FLAGS  # figure has no flag of its own
+    argv = [name, *draw(st.sampled_from([[], _RUNS.get(name, [])]))]
+    for _ in range(draw(st.integers(0, 6))):
+        flag = draw(st.sampled_from(own) | st.sampled_from(_ALL_FLAGS))
+        value = draw(st.sampled_from(_SMALL if flag == "--n" else [*_VALUES, _HUGE]))
+        piece = draw(st.sampled_from(["pair", "equals", "prefix", "bare", "stray", "token"]))
+        if piece == "pair":
+            argv += [flag, value]
+        elif piece == "equals":
+            argv.append(f"{flag}={value}")
+        elif piece == "prefix":  # an abbreviation, unique, ambiguous or none at all
+            argv += [flag[: draw(st.integers(3, len(flag)))], value]
+        elif piece == "bare":
+            argv.append(flag)
+        elif piece == "stray":  # never a large --n: a bare --n may come just before it
+            argv.append(draw(st.sampled_from(_VALUES)))
+        else:
+            argv.append(draw(st.sampled_from(["--", "-h", "--help", "--bogus", "-x", "--he"])))
+    return argv
+
+
+class TestDispatch:
+    """A known command goes straight to its own parser; the bytes equal the top-level route's."""
+
+    @pytest.mark.parametrize("argv", DISPATCH_EDGES, ids=shlex.join)
+    def test_edges_match_the_top_level_route(self, monkeypatch, tmp_path, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.chdir(tmp_path)
+        assert _outcome(cli.main, argv) == _outcome(_reference_main, argv)
+
+    @settings(max_examples=400, derandomize=True, deadline=timedelta(seconds=5))
+    @given(argv=_argvs())
+    def test_drawn_command_lines_match_the_top_level_route(self, tmp_path_factory, argv):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setenv("COLUMNS", "80")
+            mp.chdir(tmp_path_factory.getbasetemp())
+            assert _outcome(cli.main, argv) == _outcome(_reference_main, argv)
+
+    def test_a_known_command_skips_the_top_level_pass(self, monkeypatch):
+        def parse_args(argv=None):
+            raise AssertionError(f"top-level pass over {argv}")
+
+        parser = cli.build_parser()
+        parser.parse_args = parse_args
+        monkeypatch.setattr(cli, "_parser", lambda: parser)
+        monkeypatch.setattr("sys.argv", ["skillcheck", "grade", "--factor", "3"])
+        argvs = (None, ["grade", "--factor", "3"], ["grade", "--factor", "3", "x"])
+        assert [_outcome(cli.main, argv)[0] for argv in argvs] == [0, 0, 2]
+
+    def test_argv_none_reads_sys_argv_and_a_tuple_works(self, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["skillcheck", "grade", "--factor", "3"])
+        expected = (0, "grade,label,log10L\n1,barely worth a mention,0.47712125472\n", "")
+        assert _outcome(cli.main, None) == _outcome(cli.main, ("grade", "--factor", "3")) == expected
