@@ -241,8 +241,9 @@ def _trial_rows(start: int, flags) -> str:
         # Only uint64 arrays and Python ints: numpy 1.x promotes uint64 with int64 to float64.
         t = np.arange(hi - lo, dtype=np.uint64) + lo
         for col in range(w - 1, -1, -1):
-            rows[:, col] = t % 10
-            t //= 10
+            q = t // 10  # t % 10 is t - q * 10: numpy vectorises // by a scalar, not %
+            rows[:, col] = t - q * 10
+            t = q
         rows[:, w + 1] = flags[lo - start : hi - start]
         rows += np.frombuffer(b"0" * w + b",0\n", np.uint8)
         text.append(rows.tobytes().decode("ascii"))

@@ -130,9 +130,12 @@ def resolve_mechanic(mechanic: Mechanic, rng: SplitMix64) -> CheckResult:
 
 
 def _model_flags(p: float, n: int, rng: SplitMix64) -> Iterator:
+    # rng.random() < p: (v >> 11) * 2**-53 < p, and p * 2**53 is exact, so the integer
+    # v >> 11 passes below its ceiling, a Python int in 0..2**53 + 2.
+    cut = math.ceil(p * 2**53)
     for done in range(0, n, _BLOCK):
         v = rng._block(min(_BLOCK, n - done))
-        yield (v >> 11) * 2.0**-53 < p  # rng.random() < p, exact in float64
+        yield v >> 11 < cut
 
 
 def _mechanic_flags(m: Mechanic, n: int, rng: SplitMix64) -> Iterator:
@@ -140,20 +143,26 @@ def _mechanic_flags(m: Mechanic, n: int, rng: SplitMix64) -> Iterator:
 
     sides, dice = m.sides, m.dice
     limit = _limit(sides)
+    block = _BLOCK // dice * dice or _BLOCK  # whole trials, unless one trial outgrows a block
     pending, have = [], 0  # accepted faces of unfinished trials, joined once one completes
     while n:
         # Draw no more than the trials left need, so the last block is used to its last draw.
-        v = rng._block(min(_BLOCK, n * dice - have))
-        if limit <= _MASK64:
+        v = rng._block(min(block, n * dice - have))
+        if limit <= _MASK64 and int(v.max()) >= limit:
             v = v[v < limit]
-        pending.append((v % sides + 1).astype(np.int64))
+        q = v // sides  # v % sides is v - q * sides: numpy vectorises // by a scalar, not %
+        q *= sides
+        v -= q
+        v += 1
+        pending.append(v.view(np.int64))  # faces are below 2**63
         have += len(v)
         trials = have // dice
         if trials:
-            faces = np.concatenate(pending)
+            faces = pending[0] if len(pending) == 1 else np.concatenate(pending)
             n -= trials
+            have -= trials * dice
             yield m._flags(faces[: trials * dice].reshape(trials, dice))
-            pending, have = [faces[trials * dice :]], have - trials * dice
+            pending = [faces[trials * dice :]] if have else []
 
 
 def _successes(target: Union[FourPL, Mechanic], n: int, rng: SplitMix64) -> Iterator:
@@ -173,7 +182,9 @@ def _successes(target: Union[FourPL, Mechanic], n: int, rng: SplitMix64) -> Iter
 
 def simulate_count(target: Union[FourPL, Mechanic], n: int, rng: SplitMix64) -> int:
     """Number of successes over ``n`` checks; draws match n single resolutions."""
-    return sum(int(flags.sum()) for flags in _successes(target, n, rng))
+    import numpy as np
+
+    return sum(map(np.count_nonzero, _successes(target, n, rng)))
 
 
 def opposed(a: float, b: float) -> Probability:

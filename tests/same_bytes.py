@@ -11,16 +11,17 @@ warm-ups included. To reach code the workloads never run, it adds each curve
 ``--summary`` command line again without ``--summary`` (the full report), each
 batch ``fit`` again at the CLI defaults (``--tol 1e-8``), and the fixed ``EDGES``:
 domain edges, per-trial ``simulate`` rows past trials 10,000 and 100,000 (where the
-trial number gains a digit inside a block of draws), warnings, fits whose line
-search compares objectives a few ulps apart (a log that once stalled) or takes a
-rare path, logs on either side of the plain-log fast path of ``estimate._read_log``
+trial number gains a digit inside a block of draws), per-trial and ``--aggregate``
+``simulate`` of a rejecting 3-die pool and a 7-die pool past one block, warnings,
+fits whose line search compares objectives a few ulps apart (a log that once
+stalled) or takes a rare path, logs on either side of the plain-log fast path of ``estimate._read_log``
 (one with a byte-order mark, which it reads; CRLF, quoted, padded, no final newline,
 a 9-byte id, an invalid UTF-8 byte past 8 KiB and a field past the csv field limit,
 which it leaves), the top-level and every subcommand's ``--help`` (wrapped at
 ``COLUMNS=80``, whatever the terminal), and command lines on the edges of ``main``'s
 direct route to a command's own parser (leftovers, ``--``, an early ``-h``, an
 abbreviation, an unknown command).
-It runs each distinct one (1,292 in all) once through ``skillcheck.cli.main`` in this
+It runs each distinct one (1,296 in all) once through ``skillcheck.cli.main`` in this
 process and writes ``{command line: sha256 of exit code, stdout and stderr}`` as JSON.
 ``--src`` names the source tree to import ``skillcheck`` from (this checkout's ``src`` by
 default), so that one checkout's command lines can be run against another's code,
@@ -119,6 +120,14 @@ EDGES = [
                      ["--mechanic", "binomial", "--dice", "5", "--sides", "10", "--threshold", "6",
                       "--required", "3"])
       for n in ("10001", "100001")),
+    # Past one block, per trial and aggregated: a 3-die pool that rejects one draw in 7 (a
+    # block holds 2,730 whole trials, and a rejection carries faces to the next block), and a
+    # 7-die pool, whose dice do not divide the 8,192 draws of a block.
+    *(["simulate", "--mechanic", "binomial", *pool, "--n", "3000", "--seed", "-9", *aggregate]
+      for pool in (["--dice", "3", "--sides", "2635249153387078803", "--threshold",
+                    "1317624576693539401", "--required", "2"],
+                   ["--dice", "7", "--sides", "10", "--threshold", "6", "--required", "4"])
+      for aggregate in ([], ["--aggregate"])),
     *(["fit", "--input", f"{name}.csv", *log.flags] for name, log in PINNED.items()),
     ["fit", "--input", "stall_seed12_session68.csv"],
     *(["fit", "--input", log] for log in BOUNDARY),

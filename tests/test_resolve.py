@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from skillcheck.dice import (
     BinomialPool,
@@ -173,7 +173,11 @@ TARGETS = [
 ]
 # Accepts about three quarters of draws: 2**64 // sides is 3.
 REJECTING = UniformRollUnder(sides=2**62 + 1, target=2**61)
+# Rejects about one draw in 7 (2**64 // sides is 6). A block holds 2,730 whole trials of three
+# dice, so a rejection leaves faces of a trial to carry into the next block.
+REJECTING_POOL = BinomialPool(dice=3, sides=2**64 // 7 + 1, threshold=2**64 // 14, required=2)
 GAMMA = 0x9E3779B97F4A7C15
+MIX1, MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
 def scalar_flags(target, n, rng):
@@ -190,6 +194,29 @@ def draws_between(seed, rng):
     return ((rng._state - seed) * pow(GAMMA, -1, 2**64)) % 2**64
 
 
+def seed_before(output):
+    """The seed whose first draw is ``output``: SplitMix64's mixing steps undone in reverse."""
+
+    def unshift(y, s):  # the z with z ^ (z >> s) == y, s more top bits right per pass
+        z = y
+        for _ in range(64 // s):
+            z = y ^ (z >> s)
+        return z
+
+    z = unshift(output, 31) * pow(MIX2, -1, 2**64) % 2**64
+    z = unshift(z, 27) * pow(MIX1, -1, 2**64) % 2**64
+    return (unshift(z, 30) - GAMMA) % 2**64
+
+
+def assert_model_cut_matches(p, n, seed):
+    """A model of probability exactly ``p`` gives the flags and end state of ``resolve_model``."""
+    model = FourPL(0.0, 0.0, lower=p, upper=p)
+    assert model.probability() == p
+    batch, scalar = SplitMix64(seed), SplitMix64(seed)
+    assert batch_flags(model, n, batch) == scalar_flags(model, n, scalar)
+    assert batch._state == scalar._state
+
+
 class TestBatchSampler:
     @pytest.mark.parametrize("target", TARGETS, ids=lambda t: type(t).__name__)
     # Enough trials for at least this many draws: around 8192 the draws fill one block
@@ -203,13 +230,18 @@ class TestBatchSampler:
         assert batch_flags(target, n, batch) == scalar_flags(target, n, scalar)
         assert batch.next_uint64() == scalar.next_uint64()
 
-    @pytest.mark.parametrize("n", [1, 8191, 8192, 8193])
-    def test_rejected_draws_are_skipped_in_stream_order(self, n):
+    @pytest.mark.parametrize(
+        "target,n",
+        [pytest.param(REJECTING, n, id=str(n)) for n in (1, 8191, 8192, 8193)]
+        + [pytest.param(REJECTING_POOL, n, id=f"pool-{n}") for n in (1, 2730, 2731, 2732)],
+    )
+    def test_rejected_draws_are_skipped_in_stream_order(self, target, n):
         batch, scalar = SplitMix64(-3), SplitMix64(-3)
-        assert batch_flags(REJECTING, n, batch) == scalar_flags(REJECTING, n, scalar)
+        assert batch_flags(target, n, batch) == scalar_flags(target, n, scalar)
         assert batch._state == scalar._state
         if n > 1000:
-            assert 1.2 * n < draws_between(-3, batch) < 1.5 * n
+            per_die = 2**64 / (2**64 // target.sides * target.sides)  # draws per accepted face
+            assert abs(draws_between(-3, batch) / (n * target.dice) - per_die) < 0.05
 
     @pytest.mark.parametrize("target", TARGETS + [REJECTING], ids=lambda t: type(t).__name__)
     def test_batch_and_scalar_calls_mix(self, target):
@@ -222,11 +254,16 @@ class TestBatchSampler:
 
     @settings(derandomize=True, max_examples=25, deadline=None)
     @given(
-        target=st.sampled_from(TARGETS + [REJECTING]),
+        target=st.sampled_from(TARGETS + [REJECTING, REJECTING_POOL]),
         seed=st.integers(-(2**70), 2**70),
         before=st.integers(0, 3),
         n=st.integers(0, 3000),
     )
+    # Around one block of whole three-die trials, with a carry when a draw is rejected.
+    @example(target=REJECTING_POOL, seed=-3, before=0, n=1)
+    @example(target=REJECTING_POOL, seed=7, before=1, n=2730)
+    @example(target=REJECTING_POOL, seed=2**64 + 9, before=2, n=2731)
+    @example(target=REJECTING_POOL, seed=-11, before=3, n=2732)
     def test_matches_scalar_calls_fuzzed(self, target, seed, before, n):
         batch, scalar = SplitMix64(seed), SplitMix64(seed)
         scalar_flags(target, before, batch)
@@ -252,6 +289,36 @@ class TestBatchSampler:
         assert 0 < sum(expected) < n
         if family == "max":
             assert draws_between(seed, batch) > n * dice
+
+    @pytest.mark.parametrize(
+        "p", [0.0, 5e-324, 2**-53, 0.5, math.nextafter(0.5, 1), 1 - 2**-53, 1.0], ids=repr
+    )
+    def test_model_cut_at_float_edges(self, p):
+        assert_model_cut_matches(p, 8193, -5)  # past one block
+
+    # The first draw is planted at the cut: its top 53 bits k are p * 2**53 rounded down, or
+    # one either side, so rng.random() is k * 2**-53, just below, on or just above p.
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(p=st.floats(0.0, 1.0), step=st.sampled_from([-1, 0, 1]), low=st.integers(0, 2**11 - 1))
+    @example(p=2**-53, step=0, low=0)
+    @example(p=1 - 2**-53, step=0, low=2**11 - 1)
+    @example(p=1.0, step=0, low=0)
+    def test_model_cut_matches_scalar_calls_fuzzed(self, p, step, low):
+        k = min(max(math.floor(p * 2**53) + step, 0), 2**53 - 1)
+        seed = seed_before(k << 11 | low)
+        assert SplitMix64(seed).random() == k * 2**-53
+        assert_model_cut_matches(p, 3, seed)
+
+    # Every trial succeeds, over three blocks: a count or sum held in 8 bits would wrap.
+    @pytest.mark.parametrize(
+        "mech",
+        [BinomialPool(dice=300, sides=2, threshold=1, required=300),
+         SumRollOver(dice=256, sides=2, difficulty=256)],
+        ids=lambda m: type(m).__name__,
+    )
+    def test_counts_and_sums_do_not_wrap(self, mech):
+        n = 2 * 8192 // mech.dice + 1
+        assert simulate_count(mech, n, SplitMix64(5)) == n
 
     def test_block_outputs_are_the_scalar_stream(self):
         batch, scalar = SplitMix64(-1), SplitMix64(-1)
