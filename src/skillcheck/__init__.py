@@ -28,8 +28,7 @@ _EXPORTS = {
         "dist_to_csv", "outcome_distribution", "success_probability",
     ),
     "estimate": (
-        "FitResult", "OutcomeRecord", "RaschEstimator", "fit_rasch", "gradient",
-        "log_likelihood", "read_outcome_csv",
+        "FitResult", "OutcomeRecord", "fit_rasch", "gradient", "log_likelihood", "read_outcome_csv",
     ),
     "evidence": ("EvidenceGrade", "jeffreys_grade", "update", "update_reliable", "weight_of_evidence"),
     "logistic": (

@@ -10,9 +10,6 @@ each identifier's marginal logit (PROX; Wright & Stone 1979), not from zero.
 
 Logits are only identified up to a common shift, so fitted difficulties
 are re-centered to mean zero and the offset is absorbed into abilities.
-
-``RaschEstimator`` packages the same fit behind a scikit-learn style
-fit/predict_proba interface for pipeline use.
 """
 
 from __future__ import annotations
@@ -24,13 +21,12 @@ import json
 import os
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from typing import IO, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
 from . import _EXPORTS
-from .logistic import sigmoid
 
 __all__ = list(_EXPORTS["estimate"])
 
@@ -84,7 +80,6 @@ class FitResult:
     converged: bool
     extreme: frozenset[str]
     connected: bool
-    objective_trace: tuple[float, ...] = field(default=(), repr=False)
 
     def to_json(self, digits: Union[int, None] = None) -> str:
         def r(x: float) -> float:
@@ -99,19 +94,6 @@ class FitResult:
             "extreme": sorted(self.extreme),
         }
         return json.dumps(payload, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "FitResult":
-        d = json.loads(text)
-        return cls(
-            abilities=dict(d["abilities"]),
-            difficulties=dict(d["difficulties"]),
-            log_likelihood=float(d["log_likelihood"]),
-            iterations=int(d["iterations"]),
-            converged=bool(d["converged"]),
-            extreme=frozenset(d["extreme"]),
-            connected=bool(d.get("connected", True)),
-        )
 
 
 def _slope_for(task: str, slope: SlopeSpec) -> float:
@@ -368,7 +350,6 @@ def _fit(log: _Log, *, slope: SlopeSpec, ridge: float, max_iter: int, tol: float
     info = kernel.sums(kernel.n * kernel.r * kernel.r) + 4.0 * ridge
     w = np.divide(start * kernel.sums(kernel.n * kernel.r), info, out=np.zeros_like(start), where=info > 0.0)
     _, obj, g, p = kernel.at(w)
-    trace = [obj]
     iterations = 0
     while True:
         g_max = float(np.abs(g).max())
@@ -395,7 +376,6 @@ def _fit(log: _Log, *, slope: SlopeSpec, ridge: float, max_iter: int, tol: float
                 break
             t *= 0.5
         iterations += 1
-        trace.append(obj)
         if t <= 1e-12:  # no step was accepted
             break
 
@@ -414,57 +394,7 @@ def _fit(log: _Log, *, slope: SlopeSpec, ridge: float, max_iter: int, tol: float
         converged=converged,
         extreme=extreme,
         connected=connected,
-        objective_trace=tuple(trace),
     )
-
-
-@dataclass(eq=False)
-class RaschEstimator:
-    """Ability/difficulty estimator with a scikit-learn style interface.
-
-    Parameters mirror ``fit_rasch``. After ``fit`` the instance exposes
-    ``abilities_``, ``difficulties_``, ``log_likelihood_``, ``n_iter_``,
-    ``converged_``, ``extreme_``, ``connected_`` and the raw ``result_``.
-    """
-
-    slope: SlopeSpec = 1.0
-    ridge: float = 0.01
-    max_iter: int = 500
-    tol: float = 1e-8
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def set_params(self, **params) -> "RaschEstimator":
-        valid = self.get_params()
-        for key, value in params.items():
-            if key not in valid:
-                raise ValueError(f"invalid parameter {key!r} for RaschEstimator")
-            setattr(self, key, value)
-        return self
-
-    def fit(self, records: Sequence[OutcomeRecord], y=None) -> "RaschEstimator":
-        result = fit_rasch(records, **self.get_params())
-        self.result_ = result
-        self.abilities_ = result.abilities
-        self.difficulties_ = result.difficulties
-        self.log_likelihood_ = result.log_likelihood
-        self.n_iter_ = result.iterations
-        self.converged_ = result.converged
-        self.extreme_ = result.extreme
-        self.connected_ = result.connected
-        return self
-
-    def predict_proba(self, person: str, task: str) -> float:
-        """Fitted success chance for one person attempting one task."""
-        if not hasattr(self, "result_"):
-            raise RuntimeError("estimator is not fitted; call fit first")
-        if person not in self.abilities_:
-            raise KeyError(f"unknown person {person!r}")
-        if task not in self.difficulties_:
-            raise KeyError(f"unknown task {task!r}")
-        r = _slope_for(task, self.slope)
-        return sigmoid(r * (self.abilities_[person] - self.difficulties_[task]))
 
 
 def read_outcome_csv(source: Union[str, IO[str]]) -> list[OutcomeRecord]:

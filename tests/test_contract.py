@@ -19,7 +19,7 @@ and ``outcome_distribution`` and ``success_probability`` must give a value or a
 
 So do its float entry points, every float argument drawn from the same edges:
 ``FourPL``, ``LogisticParams``, ``update``, ``update_reliable``, ``Rating`` with
-``elo_update``, and ``fit_rasch`` and ``RaschEstimator`` on logs of a few records.
+``elo_update``, and ``fit_rasch`` on logs of a few records.
 Each gives finite values (infinite odds are documented), or a ``ValueError``
 with a one-line message. A fit warns only of what ``fit_rasch`` documents.
 """
@@ -40,7 +40,7 @@ from fit_logs import FIVE_RECORDS
 from skillcheck import cli
 from skillcheck.compare import LogisticParams, match_normal_to_logistic, match_uniform_to_logistic
 from skillcheck.dice import outcome_distribution, success_probability
-from skillcheck.estimate import OutcomeRecord, RaschEstimator, _warnings, fit_rasch
+from skillcheck.estimate import OutcomeRecord, _warnings, fit_rasch
 from skillcheck.evidence import update, update_reliable
 from skillcheck.logistic import FourPL
 from skillcheck.resolve import Rating, elo_expected, elo_update
@@ -288,10 +288,3 @@ def test_every_fit_of_a_tiny_log_answers_or_raises_value_error(records, slope, r
         return
     assert {str(w.message) for w in caught} <= set(_warnings(result, ridge))
     assert finite(result.log_likelihood, *result.abilities.values(), *result.difficulties.values())
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the fit's own, checked above
-        estimator = RaschEstimator(slope=slope, ridge=ridge, max_iter=max_iter, tol=tol).fit(records)
-    assert estimator.result_ == result
-    for person in estimator.abilities_:
-        for task in estimator.difficulties_:
-            assert 0.0 <= estimator.predict_proba(person, task) <= 1.0
