@@ -7,7 +7,12 @@ and exact. Sampling subcommands require an explicit --seed: identical
 arguments always produce identical bytes.
 
 A command line that starts with a command's exact name goes straight to that
-command's own parser; any other goes through the top-level parser.
+command's own parser; any other goes through the top-level parser. A plain one,
+exact ``--flag value`` pairs and switches only, is read first from a table of that
+parser's own actions, with their types, choices, defaults and required flags; any
+other shape (help, ``--``, ``=``, abbreviations, positionals, a value that looks like a
+flag, a bad value, a missing flag) goes to argparse, which writes every help, usage
+and error text.
 
 Exit codes: 0 success (a fit's cautions as ``warning:`` lines on stderr),
 1 domain error (message on stderr), 2 usage error.
@@ -38,6 +43,9 @@ MECHANICS = {
 }
 
 _fmt = compare._fmt
+# -1e-5, -inf and -nan are values too; argparse's own (private) matcher takes -1 and -.5.
+# Each command parser matches with it, and so does the plain reading of a command line.
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d|-(?i:inf|nan)")
 
 
 def _add_mechanic_flags(parser: argparse.ArgumentParser) -> None:
@@ -316,10 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --aggregate, add the Monte Carlo std_error and z of the rate")
     p.set_defaults(func=_cmd_simulate)
 
-    # -1e-5, -inf and -nan are values too; argparse's own (private) matcher takes -1 and -.5.
     # Each command gets its own parser, so an error found after parsing prints its usage.
     for p in sub.choices.values():
-        p._negative_number_matcher = re.compile(r"-\.?\d|-(?i:inf|nan)")
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         p.set_defaults(parser=p)
     parser.set_defaults(commands=sub.choices)  # read by main, to skip the top-level pass
     return parser
@@ -331,20 +338,86 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _plain_flags(parser: argparse.ArgumentParser):
+    """``parser``'s flags to their actions, its defaults in argparse's order and its required
+    actions. None if it has an action other than a ``--`` flag that stores one value, appends
+    one or is a switch (help aside), a string default argparse would convert, a mutually
+    exclusive group, or a negative-number matcher other than the one values are tested with."""
+    if parser._mutually_exclusive_groups or parser._negative_number_matcher is not _NEGATIVE_NUMBER:
+        return None
+    flags, defaults = {}, {}
+    for action in parser._actions:
+        kind = type(action)
+        if kind is argparse._HelpAction:
+            continue  # -h and --help are not in the table, so help goes to argparse
+        one_value = kind in (argparse._StoreAction, argparse._AppendAction) and action.nargs is None
+        if not (
+            (one_value or kind is argparse._StoreTrueAction)
+            and action.option_strings and all(s.startswith("--") for s in action.option_strings)
+            and not isinstance(action.default, str)
+        ):
+            return None
+        flags.update(dict.fromkeys(action.option_strings, action))
+        defaults.setdefault(action.dest, action.default)
+    for dest, value in parser._defaults.items():
+        defaults.setdefault(dest, value)
+    return flags, defaults, {a for a in flags.values() if a.required}
+
+
+def _parse_plain(parser: argparse.ArgumentParser, args: Sequence[str]) -> Optional[argparse.Namespace]:
+    """What ``parser.parse_known_args(args)`` returns when it parses ``args`` with no error and
+    no leftovers, for a command line of exact ``--flag value`` pairs and switches; else None."""
+    plain = _plain_flags(parser)
+    if plain is None:
+        return None
+    flags, defaults, required = plain
+    namespace, seen, i = argparse.Namespace(**defaults), set(), 0
+    while i < len(args):
+        action = flags.get(args[i])
+        if action is None:
+            return None
+        seen.add(action)
+        if action.nargs == 0:  # a switch
+            setattr(namespace, action.dest, action.const)
+            i += 1
+            continue
+        if i + 1 == len(args):
+            return None
+        value = args[i + 1]
+        if value[:1] == "-" and not _NEGATIVE_NUMBER.match(value):
+            return None  # argparse reads it as a flag: a missing value
+        try:
+            value = value if action.type is None else action.type(value)
+        except (TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        if type(action) is argparse._AppendAction:
+            value = [*(getattr(namespace, action.dest) or []), value]
+        setattr(namespace, action.dest, value)
+        i += 2
+    return namespace if required <= seen else None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command line (``sys.argv[1:]`` when ``argv`` is None); return its exit code.
 
     A known command goes straight to its own parser, to which the top-level parser would
     hand every argument after the name; the top-level parser reports what is left over.
+    A plain command line is read from the command's flag table instead, with the same result.
     """
     parser = _parser()
     argv = sys.argv[1:] if argv is None else argv
     commands = parser.get_default("commands")
     try:  # argparse turns a flag type's ValueError into a usage error (exit 2) itself
         if argv and argv[0] in commands:
-            args, extras = commands[argv[0]].parse_known_args(argv[1:])
-            if extras:
-                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            command = commands[argv[0]]
+            args = _parse_plain(command, argv[1:])
+            if args is None:
+                args, extras = command.parse_known_args(argv[1:])
+                if extras:
+                    parser.error(f"unrecognized arguments: {' '.join(extras)}")
         else:
             args = parser.parse_args(argv)
         args.func(args, args.parser)

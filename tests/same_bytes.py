@@ -20,8 +20,9 @@ a 9-byte id, an invalid UTF-8 byte past 8 KiB and a field past the csv field lim
 which it leaves), the top-level and every subcommand's ``--help`` (wrapped at
 ``COLUMNS=80``, whatever the terminal), and command lines on the edges of ``main``'s
 direct route to a command's own parser (leftovers, ``--``, an early ``-h``, an
-abbreviation, an unknown command).
-It runs each distinct one (1,296 in all) once through ``skillcheck.cli.main`` in this
+abbreviation, an unknown command) and of the plain reading from a command's flag table
+(empty, dash and flag-like values, values outside the choices, repeats, a missing flag).
+It runs each distinct one (1,320 in all) once through ``skillcheck.cli.main`` in this
 process and writes ``{command line: sha256 of exit code, stdout and stderr}`` as JSON.
 ``--src`` names the source tree to import ``skillcheck`` from (this checkout's ``src`` by
 default), so that one checkout's command lines can be run against another's code,
@@ -141,6 +142,33 @@ EDGES = [
     ["dist", "--mech", "sum", "--sides", "6", "--dice", "3"],
     ["grade", "--factor=2", "x"],
     ["frobnicate", "--factor", "2"],
+    # A plain command line is read from the command's flag table; these lie on its edges:
+    # empty and dash values, a flag as a value, values outside the choices or past the int
+    # digit limit, repeated appends and switches, a required flag left out, a positional,
+    # `--` mid-line, and negative and overflowing floats.
+    ["check", "--model", "", "--seed", "1"],
+    ["check", "--model", "-", "--seed", "1"],
+    ["fit", "--input", ""],
+    ["check", "--model", "--seed", "1"],
+    ["check", "--model", "--seed", "--seed", "1"],
+    ["fit", "--input", "-x"],
+    *(["opposed", "--rating-a", "1500", "--rating-b", "1400", "--score", score]
+      for score in ("nan", "0.5", "0.25", "-0e0")),
+    ["dist", "--mechanic", "Sum", "--sides", "6"],
+    ["compare", "--pair", "Normal", "--summary"],
+    ["check", "--mechanic", "sum", "--sides", "6", "--seed", "9" * 5000],
+    ["evidence", "--factor", "2", "--factor", "3", "--factor", "0.5"],
+    ["evidence", "--factor", "2", "--prior", "3", "--factor", "x"],
+    ["dist", "--mechanic", "sum", "--sides", "6", "--success", "--success"],
+    ["dist", "--mechanic", "sum", "--sides", "6", "--success", "x"],
+    ["check", "--mechanic", "sum", "--dice", "3", "--sides", "6"],
+    ["simulate", "--model", '{"ability": 1, "difficulty": 0}', "--seed", "1"],
+    ["fit"],
+    ["figure", "fig2"],
+    ["check", "--model", '{"ability": 1, "difficulty": 0}', "--", "--seed", "1"],
+    ["grade", "--factor", "2", "--factor"],
+    ["grade", "--factor", "1e400"],
+    ["opposed", "--logit-a", "-.5", "--logit-b", "-Infinity"],
 ]
 
 

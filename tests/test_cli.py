@@ -1,5 +1,6 @@
 """End-to-end subcommand behavior: output formats, determinism, exit codes."""
 
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -1036,6 +1037,33 @@ DISPATCH_EDGES = [
     ["figure", "--", "fig3"],
     ["fit", "--input", "-", "--bogus"],
     ["simulate", "--model", _MODEL, "--n", "3", "--seed", "1", "--aggregate", "--mc-error"],
+    # Edges of the plain reading from a command's flag table: empty and dash values, a flag
+    # as a value, values outside the choices, repeated appends and switches, a required flag
+    # left out, a positional and `--` mid-line.
+    ["check", "--model", "", "--seed", "1"],
+    ["check", "--model", "-", "--seed", "1"],
+    ["fit", "--input", ""],
+    ["fit", "--input", "-"],
+    ["check", "--model", "--seed", "1"],
+    ["check", "--model", "--seed", "--seed", "1"],
+    ["fit", "--input", "-x"],
+    ["opposed", "--rating-a", "1500", "--rating-b", "1400", "--score", "nan"],
+    ["opposed", "--rating-a", "1500", "--rating-b", "1400", "--score", "0.5"],
+    ["opposed", "--rating-a", "1500", "--rating-b", "1400", "--score", "0.25"],
+    ["dist", "--mechanic", "Sum", "--sides", "6"],
+    ["compare", "--pair", "Normal", "--summary"],
+    ["evidence", "--factor", "2", "--factor", "3", "--factor", "0.5"],
+    ["evidence", "--factor", "2", "--prior", "3", "--factor", "x"],
+    ["dist", "--mechanic", "sum", "--sides", "6", "--success", "--success"],
+    ["dist", "--mechanic", "sum", "--sides", "6", "--success", "x"],
+    ["check", "--mechanic", "sum", "--dice", "3", "--sides", "6"],
+    ["simulate", "--model", _MODEL, "--seed", "1"],
+    ["fit"],
+    ["figure", "fig2"],
+    ["check", "--model", _MODEL, "--", "--seed", "1"],
+    ["grade", "--factor", "2", "--factor"],
+    ["grade", "--factor", "1e400"],
+    ["opposed", "--logit-a", "-.5", "--logit-b", "-Infinity"],
 ]
 
 _COMMANDS = cli.build_parser().get_default("commands")
@@ -1085,6 +1113,76 @@ def _argvs(draw):
     return argv
 
 
+@st.composite
+def _flag_value_argvs(draw):
+    """A known command with its own exact flags only, each with a drawn value or none, so
+    that most lines have the plain shape and reach the flag table's type, choice and
+    required-flag checks."""
+    name = draw(st.sampled_from(list(_COMMANDS)))
+    argv = [name, *draw(st.sampled_from([[], _RUNS[name]]))]
+    for _ in range(draw(st.integers(0, 6))):
+        argv.append(draw(st.sampled_from(_FLAGS[name] or _ALL_FLAGS)))
+        if draw(st.integers(0, 5)):
+            argv.append(draw(st.sampled_from([*_VALUES, _HUGE])))
+    return argv
+
+
+def _assert_plain_reading_agrees(argv):
+    """For a known command, ``cli._parse_plain`` gives None or the namespace that the
+    command's parser gives, with no leftovers."""
+    commands = cli._parser().get_default("commands")
+    if not argv or argv[0] not in commands:
+        return
+    parser = commands[argv[0]]
+    plain = cli._parse_plain(parser, argv[1:])
+    if plain is None:
+        return
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(err):
+            args, extras = parser.parse_known_args(argv[1:])
+    except SystemExit:
+        pytest.fail(f"read plainly, but argparse exits: {err.getvalue()}")
+    # As reprs, so that a nan equals a nan and -0.0 differs from 0.0.
+    assert (extras, repr(vars(plain))) == ([], repr(vars(args)))
+
+
+# One command line of each interactive shape the benchmark runs, written out.
+BENCHMARK_SHAPES = [
+    ["check", "--mechanic", "sum", "--sides", "6", "--dice", "3", "--modifier", "-2",
+     "--difficulty", "11", "--seed", "5480284379122436283"],
+    ["check", "--mechanic", "roll-under", "--sides", "20", "--target", "12", "--seed", "17"],
+    ["check", "--model", '{"ability": -1.25, "difficulty": 0.4, "slope": 1.3}', "--seed", "92"],
+    ["dist", "--mechanic", "binomial", "--sides", "10", "--dice", "5", "--threshold", "6",
+     "--required", "3"],
+    ["dist", "--mechanic", "pool", "--sides", "6", "--dice", "3", "--difficulty", "9", "--success"],
+    ["compare", "--pair", "dice", "--summary", "--mechanic", "max", "--sides", "10", "--dice", "3",
+     "--difficulty", "7"],
+    ["compare", "--pair", "normal", "--summary", "--mean", "-13.048861", "--scale", "4.26502"],
+    ["compare", "--pair", "uniform", "--summary", "--mean", "-0.75", "--scale", "19.5"],
+    ["grade", "--factor", "31.622777"],
+    ["evidence", "--prior", "0.5", "--factor", "2.0", "--factor", "0.3", "--factor", "4.1"],
+    ["evidence", "--prior", "1.2", "--factor", "3.0", "--reliability", "0.6"],
+    ["opposed", "--skill-a", "3.5", "--skill-b", "7.25"],
+    ["opposed", "--logit-a", "-0.5", "--logit-b", "1.25"],
+    ["opposed", "--rating-a", "1500.0", "--rating-b", "1720.0"],
+    ["opposed", "--rating-a", "1500.0", "--rating-b", "1720.0", "--score", "0.5"],
+    ["fit", "--input", "fit-1/session0.csv", "--ridge", "0.01", "--tol", "1e-06", "--max-iter", "60"],
+    ["simulate", "--mechanic", "sum", "--sides", "6", "--dice", "3", "--modifier", "0",
+     "--difficulty", "10", "--n", "400", "--seed", "77", "--aggregate"],
+    ["simulate", "--model", _MODEL, "--n", "20000", "--seed", "78", "--aggregate"],
+]
+
+
+def _parser_with(*flags):
+    """A command parser as ``build_parser`` makes one, with ``flags``: (name, kwargs) pairs."""
+    parser = argparse.ArgumentParser()
+    parser._negative_number_matcher = cli._NEGATIVE_NUMBER
+    for name, kwargs in flags:
+        parser.add_argument(name, **kwargs)
+    return parser
+
+
 class TestDispatch:
     """A known command goes straight to its own parser; the bytes equal the top-level route's."""
 
@@ -1117,3 +1215,60 @@ class TestDispatch:
         monkeypatch.setattr("sys.argv", ["skillcheck", "grade", "--factor", "3"])
         expected = (0, "grade,label,log10L\n1,barely worth a mention,0.47712125472\n", "")
         assert _outcome(cli.main, None) == _outcome(cli.main, ("grade", "--factor", "3")) == expected
+
+    @pytest.mark.parametrize("argv", DISPATCH_EDGES, ids=shlex.join)
+    def test_edges_read_plainly_match_the_command_parser(self, argv):
+        _assert_plain_reading_agrees(argv)
+
+    @settings(max_examples=1000, derandomize=True, deadline=timedelta(seconds=5))
+    @given(argv=st.one_of(_argvs(), _flag_value_argvs()))
+    def test_drawn_command_lines_read_plainly_match_the_command_parser(self, argv):
+        _assert_plain_reading_agrees(argv)
+
+    @pytest.mark.parametrize("argv", BENCHMARK_SHAPES, ids=shlex.join)
+    def test_the_benchmarks_interactive_shapes_are_read_plainly(self, argv):
+        commands = cli._parser().get_default("commands")
+        assert cli._parse_plain(commands[argv[0]], argv[1:]) is not None
+        _assert_plain_reading_agrees(argv)
+
+    def test_a_seed_past_the_int_digit_limit_is_left_to_argparse(self, monkeypatch):
+        argv = ["check", "--mechanic", "sum", "--sides", "6", "--seed", "9" * 5000]
+        assert cli._parse_plain(cli._parser().get_default("commands")["check"], argv[1:]) is None
+        monkeypatch.setenv("COLUMNS", "80")
+        assert _outcome(cli.main, argv) == _outcome(_reference_main, argv)
+        assert _outcome(cli.main, argv)[0] == 2
+
+    def test_each_command_but_figure_has_a_flag_table_of_all_its_actions(self):
+        for name, parser in cli.build_parser().get_default("commands").items():
+            plain = cli._plain_flags(parser)
+            if name == "figure":  # its one positional goes to argparse
+                assert plain is None
+                continue
+            assert plain is not None, name
+            flags, _, _ = plain
+            for action in parser._actions:
+                kept = [flags.get(s) is action for s in action.option_strings]
+                assert kept == [action.dest != "help"] * len(action.option_strings), (name, action)
+
+    @pytest.mark.parametrize("name,kwargs", [
+        ("--x", {"nargs": "+"}),
+        ("--x", {"nargs": 1}),
+        ("--x", {"nargs": "?"}),
+        ("--x", {"action": "count"}),
+        ("--x", {"action": "store_const", "const": 1}),
+        ("--x", {"action": "store_false"}),
+        ("--x", {"action": "extend", "nargs": "+"}),
+        ("--x", {"action": argparse.BooleanOptionalAction}),
+        ("--x", {"default": "1", "type": int}),
+        ("-x", {}),
+        ("x", {}),
+    ])
+    def test_a_flag_of_another_kind_sends_its_parser_to_argparse(self, name, kwargs):
+        assert cli._plain_flags(_parser_with(("--y", {"type": int}))) is not None
+        assert cli._plain_flags(_parser_with(("--y", {"type": int}), (name, kwargs))) is None
+
+    def test_a_parser_argparse_reads_otherwise_goes_to_argparse(self):
+        parsers = [_parser_with(("--y", {})) for _ in range(2)]
+        parsers[0].add_mutually_exclusive_group().add_argument("--z")
+        parsers[1]._negative_number_matcher = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse's own
+        assert [cli._plain_flags(p) for p in parsers] == [None] * 2
